@@ -10,38 +10,49 @@ cargo fmt --all -- --check
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> cargo build --workspace --all-targets (examples, benches, bins link)"
+echo "==> cargo build --workspace --all-targets (examples, tests, bins link)"
 cargo build --workspace --all-targets
 
 echo "==> cargo doc --workspace --no-deps (warnings denied)"
-# The vendored proptest/criterion stand-ins are exempt: their doc comments
-# mirror the upstream crates' wording, ambiguous intra-doc links included.
+# The vendored proptest stand-in is exempt: its doc comments mirror the
+# upstream crate's wording, ambiguous intra-doc links included.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet \
-  --exclude proptest --exclude criterion
+  --exclude proptest
 
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
+strip_timing() {
+  sed -E 's/"(wall_ms|threads|shards|events_per_sec)": [0-9.eE+-]+/"\1": _/g' "$1"
+}
+
 echo "==> invariant auditor over the seed-42 sweep grids"
 # Each bin attaches the run-attached auditor to every cell and exits
 # non-zero if any protocol invariant is violated; summaries (with
-# audit_events / audit_violations per cell) land in results/*.json.
+# audit_events / audit_violations per cell) land in a scratch directory
+# so the committed results/*.json are never rewritten.
 cargo build --release -p sharqfec-bench --bins --quiet
-./target/release/fault_sweep --seed 42 > /dev/null
-./target/release/ablation_sweep --seed 42 > /dev/null
-./target/release/fig14_21_traffic --seed 42 --packets 128 > /dev/null
+mkdir -p target/tmp/bench_ci
+./target/release/fault_sweep --seed 42 --out target/tmp/bench_ci > /dev/null
+./target/release/ablation_sweep --seed 42 --out target/tmp/bench_ci > /dev/null
+./target/release/fig14_21_traffic --seed 42 --packets 128 --out target/tmp/bench_ci > /dev/null
 
 echo "==> injection-policy ablation grid + schema/pin check"
 # The policy sweep's gate also pins the EwmaPolicy arm bit-identical to
 # the ablation sweep's historical baseline and requires the optimizing
 # policy to beat the EWMA's repair bill on the long-burst cells.
-./target/release/policy_sweep --seed 42 > /dev/null
-./target/release/policy_sweep --check results/BENCH_policy_sweep.json
+./target/release/policy_sweep --seed 42 --out target/tmp/bench_ci > /dev/null
+./target/release/policy_sweep --check target/tmp/bench_ci/BENCH_policy_sweep.json
+
+echo "==> seed-42 summaries bit-identical to the committed ones (modulo timing)"
+for name in fault_sweep ablation_sweep fig14_21_traffic BENCH_policy_sweep; do
+  diff <(strip_timing "results/$name.json") \
+       <(strip_timing "target/tmp/bench_ci/$name.json")
+done
 
 echo "==> microbench smoke + JSON schema check"
-# The smoke profile writes to a scratch directory so the committed
+# The smoke profile writes to the scratch directory so the committed
 # full-run baseline in results/BENCH_microbench.json is never clobbered.
-mkdir -p target/tmp/bench_ci
 ./target/release/microbench --smoke --out target/tmp/bench_ci > /dev/null
 ./target/release/microbench --check target/tmp/bench_ci/BENCH_microbench.json
 ./target/release/microbench --check results/BENCH_microbench.json
@@ -71,9 +82,6 @@ echo "==> sharded engine determinism gate (--shards 4 vs serial)"
 mkdir -p target/tmp/bench_ci_sharded
 ./target/release/scale_sweep --smoke --shards 4 --out target/tmp/bench_ci_sharded > /dev/null
 ./target/release/scenario_sweep --smoke --shards 4 --out target/tmp/bench_ci_sharded > /dev/null
-strip_timing() {
-  sed -E 's/"(wall_ms|threads|shards|events_per_sec)": [0-9.eE+-]+/"\1": _/g' "$1"
-}
 diff <(strip_timing target/tmp/bench_ci/BENCH_scale_sweep.json) \
      <(strip_timing target/tmp/bench_ci_sharded/BENCH_scale_sweep.json)
 diff <(strip_timing target/tmp/bench_ci/BENCH_scenario_sweep.json) \

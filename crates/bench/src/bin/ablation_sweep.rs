@@ -17,7 +17,7 @@
 //! no raw event traces are kept.  A machine-readable summary lands in
 //! `results/ablation_sweep.json`.
 //!
-//! Run: `cargo run -p sharqfec-bench --release --bin ablation_sweep -- [--seed S] [--threads N] [--packets P]`
+//! Run: `cargo run -p sharqfec-bench --release --bin ablation_sweep -- [--seed S] [--threads N] [--packets P] [--out DIR]`
 
 use sharqfec::{PolicyKind, SharqfecConfig};
 use sharqfec_analysis::table::Table;
@@ -102,6 +102,7 @@ fn main() {
         threads,
         packets,
         policy,
+        out,
     } = SweepArgs::parse(256);
 
     let specs = cli::apply_policy_override(plan(packets), policy.as_ref());
@@ -109,7 +110,7 @@ fn main() {
 
     let threads_used = results.threads;
     let wall = results.wall;
-    cli::report_summary(results.write_json("results", "ablation_sweep", |o| {
+    cli::report_summary(results.write_json(&out, "ablation_sweep", |o| {
         let audit = o.audit.as_ref();
         vec![
             ("data_repair_per_rx".into(), o.data_repair_per_rx),

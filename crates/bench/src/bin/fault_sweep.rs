@@ -16,7 +16,7 @@
 //! mode; results are identical at any `--threads` value.  A
 //! machine-readable summary lands in `results/fault_sweep.json`.
 //!
-//! Run: `cargo run -p sharqfec-bench --release --bin fault_sweep -- [--seed S] [--threads N] [--packets P]`
+//! Run: `cargo run -p sharqfec-bench --release --bin fault_sweep -- [--seed S] [--threads N] [--packets P] [--out DIR]`
 
 use sharqfec::SharqfecConfig;
 use sharqfec_analysis::table::Table;
@@ -72,6 +72,7 @@ fn main() {
         threads,
         packets,
         policy,
+        out,
     } = SweepArgs::parse(128);
 
     let specs = cli::apply_policy_override(plan(packets), policy.as_ref());
@@ -79,7 +80,7 @@ fn main() {
 
     let threads_used = results.threads;
     let wall = results.wall;
-    cli::report_summary(results.write_json("results", "fault_sweep", |o| {
+    cli::report_summary(results.write_json(&out, "fault_sweep", |o| {
         let audit = o.audit.as_ref();
         vec![
             ("data_repair_per_rx".into(), o.data_repair_per_rx),

@@ -3,7 +3,7 @@
 //! network under the paper's workload (1024 × 1000 B packets at
 //! 800 kbit/s, groups of 16, joins at t = 1 s, data from t = 6 s).
 //!
-//! Run: `cargo run -p sharqfec-bench --release --bin fig14_21_traffic -- [--fig N] [--packets P] [--seed S] [--threads N] [--shards K] [--tsv]`
+//! Run: `cargo run -p sharqfec-bench --release --bin fig14_21_traffic -- [--fig N] [--packets P] [--seed S] [--threads N] [--shards K] [--tsv] [--out DIR]`
 //!
 //! Without `--fig` all eight figures are printed.  `--tsv` emits the raw
 //! binned series for plotting.  The protocol runs are independent, so
@@ -30,6 +30,7 @@ struct Args {
     shards: usize,
     tsv: bool,
     policy: Option<sharqfec::PolicyConfig>,
+    out: std::path::PathBuf,
 }
 
 fn parse_args() -> Args {
@@ -67,6 +68,7 @@ fn parse_args() -> Args {
         shards,
         tsv,
         policy: shared.policy,
+        out: shared.out,
     }
 }
 
@@ -192,7 +194,7 @@ fn main() {
     let results = cli::run_scenario_sweep(&scenarios, args.seed, args.threads, |s, seed| {
         s.run_traffic(seed)
     });
-    cli::report_summary(results.write_json("results", "fig14_21_traffic", |r| {
+    cli::report_summary(results.write_json(&args.out, "fig14_21_traffic", |r| {
         let audit = r.audit.as_ref();
         vec![
             ("total_repairs".into(), r.total_repairs as f64),

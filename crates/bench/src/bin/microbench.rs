@@ -1,50 +1,35 @@
 //! Hot-path microbenchmark baseline: event-loop events/sec, GF(256)
-//! slice GB/s, and FEC codec shards/sec (DESIGN.md §12).
+//! slice GB/s, FEC codec shards/sec, and sweep-runner thread scaling
+//! (DESIGN.md §12).
 //!
 //! Run: `cargo run -p sharqfec-bench --release --bin microbench -- [--smoke] [--out DIR] [--check FILE]`
 //!
 //! Without flags the full profile runs and the summary lands in
 //! `results/BENCH_microbench.json` (the sweep-runner schema).  `--smoke`
 //! shrinks iteration counts for CI; `--check FILE` validates an existing
-//! summary's schema instead of running anything, exiting 1 on gaps.
+//! summary's schema instead of running anything, exiting 2 on gaps.
 
+use sharqfec_bench::cli::{self, SweepArgs};
 use sharqfec_bench::microbench::{self, MicrobenchConfig};
 
 fn main() {
     let mut cfg = MicrobenchConfig::default();
-    let mut out = "results".to_string();
     let mut check: Option<String> = None;
-    let argv: Vec<String> = std::env::args().collect();
-    let mut i = 1;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--smoke" => cfg.smoke = true,
-            "--out" => {
-                i += 1;
-                out = argv.get(i).expect("--out takes a directory").clone();
-            }
-            "--check" => {
-                i += 1;
-                check = Some(argv.get(i).expect("--check takes a file").clone());
-            }
-            other => panic!("unknown argument {other}"),
+    let SweepArgs { out, .. } = SweepArgs::parse_with(0, |flag, cur| match flag {
+        "--smoke" => {
+            cfg.smoke = true;
+            true
         }
-        i += 1;
-    }
+        "--check" => {
+            check = Some(cur.value("--check takes a file").to_string());
+            true
+        }
+        _ => false,
+    });
 
     if let Some(path) = check {
-        let text =
-            std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
-        let problems = microbench::check_json(&text);
-        if problems.is_empty() {
-            println!("{path}: schema ok");
-            return;
-        }
-        eprintln!("{path}: schema gaps:");
-        for p in &problems {
-            eprintln!("  {p}");
-        }
-        std::process::exit(1);
+        cli::check_summary(&path, microbench::check);
+        return;
     }
 
     let results = microbench::run(cfg);
@@ -60,10 +45,7 @@ fn main() {
             Err(e) => eprintln!("{}: FAILED: {e}", o.cell.scenario),
         }
     }
-    match microbench::write_results(&results, &out) {
-        Ok(path) => eprintln!("summary: {}", path.display()),
-        Err(e) => eprintln!("could not write results JSON: {e}"),
-    }
+    cli::report_summary(results.write_json(&out, microbench::SWEEP_NAME, Clone::clone));
     if results.ok_count() != results.outcomes.len() {
         std::process::exit(1);
     }

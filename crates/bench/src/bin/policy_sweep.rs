@@ -8,7 +8,7 @@
 //! `results/BENCH_policy_sweep.json` (schema-gated in CI via
 //! `--check`).
 //!
-//! Run: `cargo run -p sharqfec-bench --release --bin policy_sweep -- [--seed S] [--threads N] [--packets P]`
+//! Run: `cargo run -p sharqfec-bench --release --bin policy_sweep -- [--seed S] [--threads N] [--packets P] [--out DIR]`
 //! Gate: `policy_sweep --check results/BENCH_policy_sweep.json`
 
 use sharqfec_analysis::table::Table;
@@ -22,6 +22,7 @@ fn main() {
         threads,
         packets,
         policy: override_policy,
+        out,
     } = SweepArgs::parse_with(256, |flag, cur| match flag {
         "--check" => {
             check = Some(cur.value("--check takes a summary JSON path").to_string());
@@ -31,18 +32,8 @@ fn main() {
     });
 
     if let Some(path) = check {
-        let text =
-            std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("could not read {path}: {e}"));
-        let problems = policy::check_json(&text);
-        if problems.is_empty() {
-            println!("{path}: ok ({} bytes)", text.len());
-            return;
-        }
-        eprintln!("{path}: {} problem(s):", problems.len());
-        for p in &problems {
-            eprintln!("  {p}");
-        }
-        std::process::exit(2);
+        cli::check_summary(&path, policy::check);
+        return;
     }
 
     // `--policy` narrows the grid to one arm (useful for tuning); the
@@ -52,7 +43,7 @@ fn main() {
 
     let threads_used = results.threads;
     let wall = results.wall;
-    cli::report_summary(results.write_json("results", policy::SWEEP_NAME, |o| {
+    cli::report_summary(results.write_json(&out, policy::SWEEP_NAME, |o| {
         let audit = o.audit.as_ref();
         vec![
             ("data_repair_per_rx".into(), o.data_repair_per_rx),

@@ -24,13 +24,13 @@ fn main() {
     let mut check: Option<String> = None;
     let mut smoke = false;
     let mut mega = false;
-    let mut out = "results".to_string();
     let mut shards = 1usize;
     let SweepArgs {
         seed,
         threads,
         packets,
         policy,
+        out,
     } = SweepArgs::parse_with(32, |flag, cur| match flag {
         "--check" => {
             check = Some(cur.value("--check takes a summary JSON path").to_string());
@@ -42,10 +42,6 @@ fn main() {
         }
         "--mega" => {
             mega = true;
-            true
-        }
-        "--out" => {
-            out = cur.value("--out takes a directory").to_string();
             true
         }
         "--shards" => {
@@ -64,18 +60,8 @@ fn main() {
     );
 
     if let Some(path) = check {
-        let text =
-            std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("could not read {path}: {e}"));
-        let problems = scale::check_json(&text);
-        if problems.is_empty() {
-            println!("{path}: ok ({} bytes)", text.len());
-            return;
-        }
-        eprintln!("{path}: {} problem(s):", problems.len());
-        for p in &problems {
-            eprintln!("  {p}");
-        }
-        std::process::exit(2);
+        cli::check_summary(&path, scale::check);
+        return;
     }
 
     let mut sizes: Vec<usize> = if smoke {

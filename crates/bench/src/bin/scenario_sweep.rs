@@ -21,13 +21,13 @@ use sharqfec_netsim::runner::{run_sweep, Cell};
 fn main() {
     let mut check: Option<String> = None;
     let mut smoke = false;
-    let mut out = "results".to_string();
     let mut shards = 1usize;
     let SweepArgs {
         seed,
         threads,
         packets,
         policy,
+        out,
     } = SweepArgs::parse_with(64, |flag, cur| match flag {
         "--check" => {
             check = Some(cur.value("--check takes a summary JSON path").to_string());
@@ -35,10 +35,6 @@ fn main() {
         }
         "--smoke" => {
             smoke = true;
-            true
-        }
-        "--out" => {
-            out = cur.value("--out takes a directory").to_string();
             true
         }
         "--shards" => {
@@ -57,18 +53,8 @@ fn main() {
     );
 
     if let Some(path) = check {
-        let text =
-            std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("could not read {path}: {e}"));
-        let problems = scenario::check_json(&text);
-        if problems.is_empty() {
-            println!("{path}: ok ({} bytes)", text.len());
-            return;
-        }
-        eprintln!("{path}: {} problem(s):", problems.len());
-        for p in &problems {
-            eprintln!("  {p}");
-        }
-        std::process::exit(2);
+        cli::check_summary(&path, scenario::check);
+        return;
     }
 
     let specs = if smoke {

@@ -22,9 +22,9 @@ fn main() {
     let mut shard_counts = vec![1usize, 2, 4, 8];
     let SweepArgs {
         seed,
-        threads: _,
         packets,
         policy,
+        ..
     } = SweepArgs::parse_with(32, |flag, cur| match flag {
         "--receivers" => {
             receivers = cur

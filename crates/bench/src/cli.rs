@@ -10,7 +10,7 @@
 
 use crate::Scenario;
 use sharqfec::PolicyConfig;
-use sharqfec_netsim::runner::{default_threads, run_sweep, Cell, SweepResults};
+use sharqfec_netsim::runner::{default_threads, run_sweep, Cell, SweepResults, SweepSummary};
 use std::num::NonZeroUsize;
 use std::path::PathBuf;
 
@@ -27,6 +27,9 @@ pub struct SweepArgs {
     /// ewma|percentile|optimizing`); `None` keeps each cell's own
     /// configuration.
     pub policy: Option<PolicyConfig>,
+    /// Directory the JSON summary is written to (`--out`, default
+    /// `results`).
+    pub out: PathBuf,
 }
 
 /// Cursor over `argv` used by bin-specific flag handlers to consume flag
@@ -50,8 +53,8 @@ impl ArgCursor {
 
 impl SweepArgs {
     /// Parses the shared flags (`--seed`, `--threads`, `--packets`,
-    /// `--policy`) from the process arguments, panicking on anything
-    /// else.
+    /// `--policy`, `--out`) from the process arguments, panicking on
+    /// anything else.
     pub fn parse(default_packets: u32) -> SweepArgs {
         SweepArgs::parse_with(default_packets, |_, _| false)
     }
@@ -68,6 +71,7 @@ impl SweepArgs {
             threads: default_threads(),
             packets: default_packets,
             policy: None,
+            out: PathBuf::from("results"),
         };
         let mut cur = ArgCursor {
             argv: std::env::args().collect(),
@@ -101,6 +105,9 @@ impl SweepArgs {
                         PolicyConfig::named(name)
                             .unwrap_or_else(|| panic!("unknown policy {name}")),
                     );
+                }
+                "--out" => {
+                    args.out = cur.value("--out takes a directory").into();
                 }
                 other => {
                     if !extra(other, &mut cur) {
@@ -164,6 +171,25 @@ pub fn report_summary(written: std::io::Result<PathBuf>) {
         Ok(path) => eprintln!("summary: {}", path.display()),
         Err(e) => eprintln!("could not write results JSON: {e}"),
     }
+}
+
+/// The `--check FILE` mode of a gated sweep binary: parses the summary
+/// at `path`, runs `check` over it, prints the verdict, and exits with
+/// status 2 on any problem (an unreadable or malformed file included).
+pub fn check_summary(path: &str, check: fn(&SweepSummary) -> Vec<String>) {
+    let problems = std::fs::read_to_string(path)
+        .map_err(|e| format!("could not read: {e}"))
+        .and_then(|text| SweepSummary::parse(&text))
+        .map_or_else(|e| vec![e], |summary| check(&summary));
+    if problems.is_empty() {
+        println!("{path}: ok");
+        return;
+    }
+    eprintln!("{path}: {} problem(s):", problems.len());
+    for p in &problems {
+        eprintln!("  {p}");
+    }
+    std::process::exit(2);
 }
 
 /// Prints any invariant-auditor violations and exits with status 2 —

@@ -624,6 +624,56 @@ impl RttExperiment {
     }
 }
 
+/// An all-ok summary named `sweep` with one seed-42 cell per
+/// `(scenario, metrics)` pair: the sweep gates' test fixture.
+#[cfg(test)]
+pub(crate) fn summary_fixture(
+    sweep: &str,
+    cells: Vec<(String, Vec<(&str, f64)>)>,
+) -> sharqfec_netsim::runner::SweepSummary {
+    use sharqfec_netsim::runner::{SummaryCell, SweepSummary};
+    SweepSummary {
+        sweep: sweep.to_string(),
+        threads: 1,
+        wall_ms: 1.0,
+        cells_ok: cells.len(),
+        cells_failed: 0,
+        cells: cells
+            .into_iter()
+            .map(|(scenario, metrics)| SummaryCell {
+                scenario,
+                seed: 42,
+                wall_ms: 1.0,
+                result: Ok(metrics
+                    .into_iter()
+                    .map(|(k, v)| (k.to_string(), Some(v)))
+                    .collect()),
+            })
+            .collect(),
+    }
+}
+
+/// Overwrites one metric of one fixture cell.
+#[cfg(test)]
+pub(crate) fn set_metric(
+    summary: &mut sharqfec_netsim::runner::SweepSummary,
+    scenario: &str,
+    key: &str,
+    value: f64,
+) {
+    let cell = summary.cells.iter_mut().find(|c| c.scenario == scenario);
+    let metrics = cell
+        .expect("fixture cell")
+        .result
+        .as_mut()
+        .expect("ok cell");
+    metrics
+        .iter_mut()
+        .find(|(k, _)| k == key)
+        .expect("fixture metric")
+        .1 = Some(value);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

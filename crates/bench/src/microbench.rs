@@ -1,11 +1,11 @@
 //! Hot-path microbenchmark baseline (DESIGN.md §12).
 //!
-//! Three metric families, one per hot path the engine overhaul targets:
+//! Four metric families, one per hot path the engine overhaul targets
+//! plus the sweep runner that fans every grid out:
 //!
 //! * **event_loop** — raw discrete-event throughput: a CBR source
-//!   multicasting over the full Figure 10 channel (112 receivers), the
-//!   same storm as the `engine_core` Criterion bench, measured as
-//!   processed events per second.
+//!   multicasting over the full Figure 10 channel (112 receivers),
+//!   measured as processed events per second.
 //! * **gf_slice** — GF(256) slice kernels ([`mul_acc_slice`] /
 //!   [`mul_slice`]) in GB/s over packet-sized buffers; the inner loop of
 //!   every FEC encode and decode.
@@ -13,34 +13,42 @@
 //!   steady-state [`GroupCodec::encode_into`] with reused parity buffers
 //!   and [`GroupCodec::decode`] with a reused [`DecodeScratch`], at the
 //!   paper's group shape (k = 16) and packet size (1000 B).
+//! * **sweep_runner** — thread scaling of [`run_sweep`]: the same
+//!   multi-seed full-SHARQFEC sweep on one worker and on every available
+//!   core.
 //!
 //! The run is published through the same sweep-runner JSON schema as the
 //! figure sweeps (`results/BENCH_microbench.json`), so the results
 //! directory stays uniform.  Wall-clock derived numbers are measured,
 //! hence machine-dependent — the committed JSON is a baseline snapshot,
-//! not a determinism fixture.  [`check_json`] validates the schema (CI
-//! runs the smoke profile and checks its output).
+//! not a determinism fixture.  [`check`] validates the schema (CI runs
+//! the smoke profile and checks its output).
 
+use crate::{Scenario, Workload};
+use sharqfec::Variant;
 use sharqfec_fec::{DecodeScratch, GroupCodec};
 use sharqfec_gf256::{mul_acc_slice, mul_slice, Gf256};
 use sharqfec_netsim::prelude::*;
-use sharqfec_netsim::runner::{run_sweep, Cell, SweepResults};
+use sharqfec_netsim::runner::{default_threads, grid, run_sweep, Cell, SweepResults, SweepSummary};
 use sharqfec_topology::{figure10, Figure10Params};
 use std::num::NonZeroUsize;
-use std::path::PathBuf;
 use std::time::Instant;
 
 /// Name under which the sweep JSON is published (`<name>.json`).
 pub const SWEEP_NAME: &str = "BENCH_microbench";
 
 /// The metric keys every complete run must emit, grouped by cell.
-/// `check_json` verifies each appears in the JSON summary.
+/// [`check`] verifies each cell carries its keys.
 const REQUIRED_METRICS: &[(&str, &[&str])] = &[
     ("event_loop", &["events_per_sec", "events"]),
     ("gf_slice", &["mul_acc_gbps", "mul_gbps"]),
     (
         "fec_codec",
         &["encode_shards_per_sec", "decode_shards_per_sec"],
+    ),
+    (
+        "sweep_runner",
+        &["workers", "serial_ms", "parallel_ms", "speedup"],
     ),
 ];
 
@@ -84,14 +92,22 @@ impl MicrobenchConfig {
             4096
         }
     }
+
+    /// Seeds and packets per run of the sweep-runner cell's sweep.
+    fn sweep_shape(&self) -> (u64, u32) {
+        if self.smoke {
+            (2, 8)
+        } else {
+            (8, 32)
+        }
+    }
 }
 
 /// One cell's metrics, in emission order.
 pub type Metrics = Vec<(String, f64)>;
 
-/// Runs all three benchmark cells serially (timing must not contend for
-/// cores) and returns them in sweep-results form, ready for
-/// [`write_results`].
+/// Runs all four benchmark cells serially (timing must not contend for
+/// cores) and returns them in sweep-results form.
 pub fn run(cfg: MicrobenchConfig) -> SweepResults<Metrics> {
     let cells: Vec<Cell> = REQUIRED_METRICS
         .iter()
@@ -102,52 +118,34 @@ pub fn run(cfg: MicrobenchConfig) -> SweepResults<Metrics> {
             "event_loop" => bench_event_loop(cfg),
             "gf_slice" => bench_gf_slice(cfg),
             "fec_codec" => bench_fec_codec(cfg),
+            "sweep_runner" => bench_sweep_runner(cfg),
             other => panic!("unknown microbench cell {other}"),
         }
     })
 }
 
-/// Writes the sweep JSON under `dir` as `BENCH_microbench.json`.
-pub fn write_results(
-    results: &SweepResults<Metrics>,
-    dir: impl AsRef<std::path::Path>,
-) -> std::io::Result<PathBuf> {
-    results.write_json(dir, SWEEP_NAME, Clone::clone)
-}
-
-/// Validates a microbench JSON summary, returning one complaint per
-/// missing piece (empty means the schema is complete).
-///
-/// The workspace deliberately carries no JSON parser, so this is a
-/// structural string check: sweep name, every cell, every metric key,
-/// an ok status per cell, and balanced nesting.
-pub fn check_json(text: &str) -> Vec<String> {
-    let mut problems = Vec::new();
-    if !text.contains(&format!("\"sweep\": \"{SWEEP_NAME}\"")) {
-        problems.push(format!("missing sweep name {SWEEP_NAME:?}"));
-    }
-    for key in ["threads", "wall_ms", "cells_ok", "cells_failed", "cells"] {
-        if !text.contains(&format!("\"{key}\":")) {
-            problems.push(format!("missing top-level field {key:?}"));
-        }
-    }
-    if !text.contains(&format!("\"cells_ok\": {}", REQUIRED_METRICS.len())) {
-        problems.push(format!("expected all {} cells ok", REQUIRED_METRICS.len()));
+/// Validates a microbench summary: the shared schema, exactly the
+/// required cells, and every metric key of each.  Returns one complaint
+/// per missing piece (empty means the schema is complete).
+pub fn check(summary: &SweepSummary) -> Vec<String> {
+    let mut problems = summary.schema_problems(SWEEP_NAME);
+    if summary.cells.len() != REQUIRED_METRICS.len() {
+        problems.push(format!(
+            "expected {} cells, found {}",
+            REQUIRED_METRICS.len(),
+            summary.cells.len()
+        ));
     }
     for (cell, metrics) in REQUIRED_METRICS {
-        if !text.contains(&format!("\"scenario\": \"{cell}\"")) {
+        let Some(c) = summary.cell(cell) else {
             problems.push(format!("missing cell {cell:?}"));
-        }
+            continue;
+        };
         for m in *metrics {
-            if !text.contains(&format!("\"{m}\":")) {
+            if c.metric(m).is_none() {
                 problems.push(format!("missing metric {m:?} (cell {cell:?})"));
             }
         }
-    }
-    if text.matches('{').count() != text.matches('}').count()
-        || text.matches('[').count() != text.matches(']').count()
-    {
-        problems.push("unbalanced braces or brackets".to_string());
     }
     problems
 }
@@ -162,7 +160,7 @@ impl Classify for Blob {
 }
 
 /// Timer-driven constant-bit-rate source: one 1000 B multicast per
-/// millisecond until `left` runs out (mirrors `benches/engine_core.rs`).
+/// millisecond until `left` runs out.
 struct Cbr {
     chan: ChannelId,
     left: u32,
@@ -295,6 +293,35 @@ fn bench_fec_codec(cfg: MicrobenchConfig) -> Metrics {
     ]
 }
 
+fn bench_sweep_runner(cfg: MicrobenchConfig) -> Metrics {
+    let (seeds, packets) = cfg.sweep_shape();
+    let seeds: Vec<u64> = (1..=seeds).collect();
+    let sweep_ms = |threads: NonZeroUsize| {
+        let start = Instant::now();
+        let results = run_sweep(grid(&["full"], &seeds), threads, |cell| {
+            let w = Workload {
+                packets,
+                seed: cell.seed,
+                tail_secs: 10,
+            };
+            Scenario::variant(Variant::Full, w)
+                .run_traffic(w.seed)
+                .total_repairs
+        });
+        std::hint::black_box(results.into_values());
+        start.elapsed().as_secs_f64() * 1e3
+    };
+    let workers = default_threads();
+    let serial_ms = sweep_ms(NonZeroUsize::MIN);
+    let parallel_ms = sweep_ms(workers);
+    vec![
+        ("workers".to_string(), workers.get() as f64),
+        ("serial_ms".to_string(), serial_ms),
+        ("parallel_ms".to_string(), parallel_ms),
+        ("speedup".to_string(), serial_ms / parallel_ms),
+    ]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -304,18 +331,25 @@ mod tests {
         let results = run(MicrobenchConfig { smoke: true });
         assert_eq!(results.ok_count(), REQUIRED_METRICS.len());
         let json = results.to_json(SWEEP_NAME, Clone::clone);
-        let problems = check_json(&json);
+        let summary = SweepSummary::parse(&json).expect("writer output parses");
+        let problems = check(&summary);
         assert!(problems.is_empty(), "schema gaps: {problems:?}");
-    }
 
-    #[test]
-    fn check_json_flags_missing_pieces() {
-        let problems = check_json("{}");
-        assert!(problems.iter().any(|p| p.contains("sweep name")));
-        assert!(problems.iter().any(|p| p.contains("event_loop")));
-        assert!(problems.iter().any(|p| p.contains("decode_shards_per_sec")));
-        // A truncated document trips the balance check.
-        let problems = check_json("{\"cells\": [");
-        assert!(problems.iter().any(|p| p.contains("unbalanced")));
+        // A dropped cell, a dropped metric, and a foreign sweep are named.
+        let mut broken = summary.clone();
+        broken.sweep = "other".to_string();
+        broken.cells.retain(|c| c.scenario != "event_loop");
+        broken.cells_ok -= 1;
+        if let Ok(metrics) = &mut broken.cells[0].result {
+            metrics.retain(|(k, _)| k != "mul_gbps");
+        }
+        let problems = check(&broken);
+        assert!(problems
+            .iter()
+            .any(|p| p.contains("expected \"BENCH_microbench\"")));
+        assert!(problems
+            .iter()
+            .any(|p| p.contains("missing cell \"event_loop\"")));
+        assert!(problems.iter().any(|p| p.contains("\"mul_gbps\"")));
     }
 }

@@ -36,7 +36,7 @@
 //! SHARQFEC cells never stride — zone-scoped announcements are O(n·z̄)
 //! per round and simulate in full at every n.
 //!
-//! [`check_json`] gates the emitted `results/BENCH_scale_sweep.json`:
+//! [`check`] gates the emitted `results/BENCH_scale_sweep.json`:
 //! every cell audited clean at full delivery, SHARQFEC's session traffic
 //! below SRM's at the crossover bound n = 10⁴ (and at the largest common
 //! cell), a smaller fitted session-traffic exponent, SHARQFEC state flat
@@ -46,10 +46,10 @@
 //! [`Engine::state_bytes`]: sharqfec_netsim::Engine::state_bytes
 //! [`SrmConfig::announce_stride`]: sharqfec_srm::SrmConfig::announce_stride
 
-use crate::policy::{cell_line, metric_f64, metric_u64};
 use crate::AuditOutcome;
 use sharqfec::{setup_sharqfec_builder, SfAgent, SharqfecConfig};
 use sharqfec_netsim::probe::AuditConfig;
+use sharqfec_netsim::runner::SweepSummary;
 use sharqfec_netsim::{RecorderMode, RunSpec, SimDuration, SimTime, TrafficClass};
 use sharqfec_srm::{setup_srm_builder, SrmConfig, SrmReceiver};
 use sharqfec_topology::{scaled_tree, ScaledTreeParams};
@@ -65,7 +65,7 @@ pub const SIZES: [usize; 4] = [100, 1_000, 10_000, 100_000];
 /// The CI smoke grid (`--smoke`): small enough for every run of ci.sh.
 pub const SMOKE_SIZES: [usize; 2] = [100, 1_000];
 
-/// The crossover bound the paper claims and [`check_json`] enforces:
+/// The crossover bound the paper claims and [`check`] enforces:
 /// SHARQFEC session traffic must be below SRM's by this n.
 pub const CROSSOVER_N: usize = 10_000;
 
@@ -140,7 +140,7 @@ pub struct ScaleOutcome {
     /// Events processed.
     pub events: u64,
     /// Events per wall-clock second (machine-dependent; excluded from
-    /// every [`check_json`] assertion).
+    /// every [`check`] assertion).
     pub events_per_sec: f64,
     /// Engine shards the cell ran with (1 = serial).  Results are
     /// bit-identical at any shard count; only throughput may differ.
@@ -295,28 +295,15 @@ pub fn metrics(o: &ScaleOutcome) -> Vec<(String, f64)> {
     ]
 }
 
-/// One parsed cell of a summary.
-struct ParsedCell<'a> {
-    srm: bool,
-    n: usize,
-    line: &'a str,
-}
-
-fn parse_cells(text: &str) -> Vec<ParsedCell<'_>> {
-    let mut out = Vec::new();
-    for line in text.lines() {
-        for (proto, srm) in [("sharqfec", false), ("srm", true)] {
-            let tag = format!("\"scenario\": \"{proto}/n=");
-            if let Some(pos) = line.find(&tag) {
-                let rest = &line[pos + tag.len()..];
-                let end = rest.find('"').unwrap_or(rest.len());
-                if let Ok(n) = rest[..end].parse::<usize>() {
-                    out.push(ParsedCell { srm, n, line });
-                }
-            }
-        }
-    }
-    out
+/// Splits a cell label `protocol/n=<receivers>` into `(srm, receivers)`.
+fn parse_label(label: &str) -> Option<(bool, usize)> {
+    let (proto, n) = label.split_once("/n=")?;
+    let srm = match proto {
+        "sharqfec" => false,
+        "srm" => true,
+        _ => return None,
+    };
+    Some((srm, n.parse().ok()?))
 }
 
 /// Least-squares slope of ln(y) against ln(x) — the fitted power-law
@@ -339,7 +326,7 @@ fn loglog_slope(points: &[(f64, f64)]) -> Option<f64> {
     (denom.abs() > 1e-12).then(|| (n * sxy - sx * sy) / denom)
 }
 
-/// Fitted-exponent margin [`check_json`] demands between SRM's and
+/// Fitted-exponent margin [`check`] demands between SRM's and
 /// SHARQFEC's session-traffic growth (measured: ~2.0 vs ~1.4).
 pub const EXPONENT_MARGIN: f64 = 0.25;
 
@@ -351,47 +338,37 @@ pub const EXPONENT_MARGIN: f64 = 0.25;
 /// more sizes are present — a smaller fitted session-traffic exponent
 /// plus flat-vs-growing per-receiver state.  Returns problems (empty =
 /// pass).
-pub fn check_json(text: &str) -> Vec<String> {
-    let mut problems = Vec::new();
-    if !text.contains(&format!("\"sweep\": \"{SWEEP_NAME}\"")) {
-        problems.push(format!("missing sweep name {SWEEP_NAME:?}"));
-    }
-    for key in ["threads", "wall_ms", "cells_ok", "cells_failed", "cells"] {
-        if !text.contains(&format!("\"{key}\":")) {
-            problems.push(format!("missing top-level field {key:?}"));
-        }
-    }
-    if !text.contains("\"cells_failed\": 0") {
-        problems.push("has failed cells".to_string());
-    }
-
-    let cells = parse_cells(text);
+pub fn check(summary: &SweepSummary) -> Vec<String> {
+    let mut problems = summary.schema_problems(SWEEP_NAME);
+    let cells: Vec<_> = summary
+        .cells
+        .iter()
+        .filter_map(|c| parse_label(&c.scenario).map(|(_, n)| (n, c)))
+        .collect();
     if cells.is_empty() {
         problems.push("no scale cells found".to_string());
         return problems;
     }
-    let mut sizes: Vec<usize> = cells.iter().map(|c| c.n).collect();
+    let mut sizes: Vec<usize> = cells.iter().map(|(n, _)| *n).collect();
     sizes.sort_unstable();
     sizes.dedup();
 
-    for c in &cells {
-        let label = format!("{}/n={}", if c.srm { "srm" } else { "sharqfec" }, c.n);
-        if !c.line.contains("\"status\": \"ok\"") {
-            problems.push(format!("cell {label:?} not ok"));
-            continue;
-        }
-        if metric_u64(c.line, "audit_violations") != Some(0) {
+    // Failed cells are already named by the schema check.
+    for (_, c) in cells.iter().filter(|(_, c)| c.result.is_ok()) {
+        let label = &c.scenario;
+        if c.metric("audit_violations") != Some(0.0) {
             problems.push(format!("cell {label:?} has audit violations"));
         }
-        if metric_u64(c.line, "unrecovered") != Some(0) {
+        if c.metric("unrecovered") != Some(0.0) {
             problems.push(format!("cell {label:?} did not deliver everything"));
         }
     }
 
     // A metric for one (protocol, size), when that cell exists and is ok.
-    let lookup = |srm: bool, n: usize, key: &str| -> Option<f64> {
-        let label = format!("{}/n={n}", if srm { "srm" } else { "sharqfec" });
-        metric_f64(cell_line(text, &label)?, key)
+    let lookup = |srm: bool, receivers: usize, key: &str| -> Option<f64> {
+        summary
+            .cell(&ScaleCell { receivers, srm }.label())?
+            .metric(key)
     };
 
     let mut sf_traffic = Vec::new();
@@ -462,11 +439,6 @@ pub fn check_json(text: &str) -> Vec<String> {
         }
     }
 
-    if text.matches('{').count() != text.matches('}').count()
-        || text.matches('[').count() != text.matches(']').count()
-    {
-        problems.push("unbalanced braces or brackets".to_string());
-    }
     problems
 }
 
@@ -502,65 +474,48 @@ mod tests {
         assert!(loglog_slope(&[(1.0, 1.0)]).is_none());
     }
 
-    fn synthetic(cells: &[(&str, usize, &str)]) -> String {
-        let mut s = format!(
-            "{{\n  \"sweep\": \"{SWEEP_NAME}\",\n  \"threads\": 1,\n  \
-             \"wall_ms\": 1.0,\n  \"cells_ok\": {},\n  \"cells_failed\": 0,\n  \
-             \"cells\": [\n",
-            cells.len()
-        );
-        for (i, (proto, n, metrics)) in cells.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"scenario\": \"{proto}/n={n}\", \"seed\": 42, \"wall_ms\": 1.0, \
-                 \"status\": \"ok\", \"metrics\": {{{metrics}}}}}{}\n",
-                if i + 1 < cells.len() { "," } else { "" }
-            ));
-        }
-        s.push_str("  ]\n}\n");
-        s
-    }
-
-    fn healthy_metrics(session: f64, state: f64) -> String {
-        format!(
-            "\"session_norm\": {session}, \"state_bytes_per_rx\": {state}, \
-             \"unrecovered\": 0, \"audit_violations\": 0"
-        )
+    /// An all-healthy summary from `(protocol, n, session_norm,
+    /// state_bytes_per_rx)` rows.
+    fn synthetic(cells: &[(&str, usize, f64, f64)]) -> SweepSummary {
+        let cells = cells
+            .iter()
+            .map(|&(proto, n, session, state)| {
+                let metrics = vec![
+                    ("session_norm", session),
+                    ("state_bytes_per_rx", state),
+                    ("unrecovered", 0.0),
+                    ("audit_violations", 0.0),
+                ];
+                (format!("{proto}/n={n}"), metrics)
+            })
+            .collect();
+        crate::summary_fixture(SWEEP_NAME, cells)
     }
 
     #[test]
     fn check_passes_a_healthy_sweep_and_catches_a_missing_crossover() {
         // SHARQFEC ~n^1.3, SRM ~n^2, SF state flat, SRM state linear.
         let good = synthetic(&[
-            ("sharqfec", 100, &healthy_metrics(4e3, 2000.0)),
-            ("sharqfec", 1000, &healthy_metrics(8e4, 3000.0)),
-            ("sharqfec", 10000, &healthy_metrics(1.6e6, 4000.0)),
-            ("srm", 100, &healthy_metrics(5e4, 3000.0)),
-            ("srm", 1000, &healthy_metrics(5e6, 30000.0)),
-            ("srm", 10000, &healthy_metrics(5e8, 300000.0)),
+            ("sharqfec", 100, 4e3, 2000.0),
+            ("sharqfec", 1000, 8e4, 3000.0),
+            ("sharqfec", 10000, 1.6e6, 4000.0),
+            ("srm", 100, 5e4, 3000.0),
+            ("srm", 1000, 5e6, 30000.0),
+            ("srm", 10000, 5e8, 300000.0),
         ]);
-        assert_eq!(check_json(&good), Vec::<String>::new());
+        assert_eq!(check(&good), Vec::<String>::new());
 
         // SHARQFEC above SRM at the crossover bound must fail.
-        let crossed = synthetic(&[
-            ("sharqfec", 100, &healthy_metrics(4e3, 2000.0)),
-            ("sharqfec", 1000, &healthy_metrics(8e4, 3000.0)),
-            ("sharqfec", 10000, &healthy_metrics(6e8, 4000.0)),
-            ("srm", 100, &healthy_metrics(5e4, 3000.0)),
-            ("srm", 1000, &healthy_metrics(5e6, 30000.0)),
-            ("srm", 10000, &healthy_metrics(5e8, 300000.0)),
-        ]);
-        assert!(check_json(&crossed)
+        let mut crossed = good;
+        crate::set_metric(&mut crossed, "sharqfec/n=10000", "session_norm", 6e8);
+        assert!(check(&crossed)
             .iter()
             .any(|p| p.contains("no crossover at n=10000")));
 
         // An audit violation must fail.
-        let violated = synthetic(&[(
-            "sharqfec",
-            100,
-            "\"session_norm\": 1, \"state_bytes_per_rx\": 1, \
-             \"unrecovered\": 0, \"audit_violations\": 2",
-        )]);
-        assert!(check_json(&violated)
+        let mut violated = synthetic(&[("sharqfec", 100, 1.0, 1.0)]);
+        crate::set_metric(&mut violated, "sharqfec/n=100", "audit_violations", 2.0);
+        assert!(check(&violated)
             .iter()
             .any(|p| p.contains("audit violations")));
     }
@@ -598,20 +553,16 @@ mod tests {
         // Two sizes: crossover at the largest is enforced, exponents are
         // not (the fit needs three points).
         let smoke = synthetic(&[
-            ("sharqfec", 100, &healthy_metrics(4e3, 2000.0)),
-            ("sharqfec", 1000, &healthy_metrics(8e4, 3000.0)),
-            ("srm", 100, &healthy_metrics(5e4, 3000.0)),
-            ("srm", 1000, &healthy_metrics(5e6, 30000.0)),
+            ("sharqfec", 100, 4e3, 2000.0),
+            ("sharqfec", 1000, 8e4, 3000.0),
+            ("srm", 100, 5e4, 3000.0),
+            ("srm", 1000, 5e6, 30000.0),
         ]);
-        assert_eq!(check_json(&smoke), Vec::<String>::new());
+        assert_eq!(check(&smoke), Vec::<String>::new());
 
-        let inverted = synthetic(&[
-            ("sharqfec", 100, &healthy_metrics(4e3, 2000.0)),
-            ("sharqfec", 1000, &healthy_metrics(9e6, 3000.0)),
-            ("srm", 100, &healthy_metrics(5e4, 3000.0)),
-            ("srm", 1000, &healthy_metrics(5e6, 30000.0)),
-        ]);
-        assert!(check_json(&inverted)
+        let mut inverted = smoke;
+        crate::set_metric(&mut inverted, "sharqfec/n=1000", "session_norm", 9e6);
+        assert!(check(&inverted)
             .iter()
             .any(|p| p.contains("no crossover at n=1000")));
     }

@@ -12,7 +12,7 @@
 //! down to ordinary DES events, so a cell remains a pure function of
 //! `(cell, seed)` and bit-identical at any `--shards` value.
 //!
-//! Reported per cell, and gated by [`check_json`]:
+//! Reported per cell, and gated by [`check`]:
 //!
 //! * `unrecovered` — must be 0: every receiver, including every flash
 //!   joiner and every churned node, ends the run complete;
@@ -30,11 +30,11 @@
 //! on/off at n = 500, then appends [`FLASH_10K`] — the 10⁴-receiver
 //! flash-crowd acceptance cell.
 
-use crate::policy::{cell_line, metric_f64, metric_u64};
 use crate::AuditOutcome;
 use sharqfec::{member_channels, setup_sharqfec_scenario_builder, SfAgent, SharqfecConfig};
 use sharqfec_netsim::prelude::FaultPlan;
 use sharqfec_netsim::probe::AuditConfig;
+use sharqfec_netsim::runner::SweepSummary;
 use sharqfec_netsim::{
     ChannelId, NodeId, RecorderMode, RunSpec, ScenarioPlan, SimDuration, SimTime, TrafficClass,
 };
@@ -232,7 +232,7 @@ pub struct ScenarioOutcome {
     /// Events processed.
     pub events: u64,
     /// Events per wall-clock second (machine-dependent; excluded from
-    /// every [`check_json`] assertion).
+    /// every [`check`] assertion).
     pub events_per_sec: f64,
     /// Engine shards the cell ran with (1 = serial).  Results are
     /// bit-identical at any shard count; only throughput may differ.
@@ -358,47 +358,22 @@ pub fn metrics(o: &ScenarioOutcome) -> Vec<(String, f64)> {
     ]
 }
 
-/// One parsed cell of a summary.
-struct ParsedCell<'a> {
-    label: String,
-    flash: usize,
-    churn: bool,
-    outage: bool,
-    line: &'a str,
-}
-
-fn parse_cells(text: &str) -> Vec<ParsedCell<'_>> {
-    let mut out = Vec::new();
-    for line in text.lines() {
-        let tag = "\"scenario\": \"n=";
-        let Some(pos) = line.find(tag) else { continue };
-        let rest = &line[pos + "\"scenario\": \"".len()..];
-        let Some(end) = rest.find('"') else { continue };
-        let label = rest[..end].to_string();
-        let field = |key: &str| -> Option<&str> {
-            label
-                .split('/')
-                .find_map(|part| part.strip_prefix(key).and_then(|v| v.strip_prefix('=')))
-        };
-        let (Some(flash), Some(churn), Some(outage)) = (
-            field("flash").map(str::to_string),
-            field("churn").map(str::to_string),
-            field("outage").map(str::to_string),
-        ) else {
-            continue;
-        };
-        let Ok(flash) = flash.parse::<usize>() else {
-            continue;
-        };
-        out.push(ParsedCell {
-            label,
-            flash,
-            churn: churn == "on",
-            outage: outage == "on",
-            line,
-        });
+/// The `(flash, churn, outage)` coordinates of a cell label (see
+/// [`ScenarioCell::label`]).
+fn parse_label(label: &str) -> Option<(usize, bool, bool)> {
+    if !label.starts_with("n=") {
+        return None;
     }
-    out
+    let field = |key: &str| {
+        label
+            .split('/')
+            .find_map(|part| part.strip_prefix(key)?.strip_prefix('='))
+    };
+    Some((
+        field("flash")?.parse().ok()?,
+        field("churn")? == "on",
+        field("outage")? == "on",
+    ))
 }
 
 /// Validates a `BENCH_scenario_sweep.json` summary (committed full grid
@@ -407,51 +382,39 @@ fn parse_cells(text: &str) -> Vec<ParsedCell<'_>> {
 /// churn cell, and an outage cell; flash cells' per-member repair
 /// deliveries under [`REPAIR_BOUND_FACTOR`] × the stream length, quiet
 /// cells' at zero.  Returns problems (empty = pass).
-pub fn check_json(text: &str) -> Vec<String> {
-    let mut problems = Vec::new();
-    if !text.contains(&format!("\"sweep\": \"{SWEEP_NAME}\"")) {
-        problems.push(format!("missing sweep name {SWEEP_NAME:?}"));
-    }
-    for key in ["threads", "wall_ms", "cells_ok", "cells_failed", "cells"] {
-        if !text.contains(&format!("\"{key}\":")) {
-            problems.push(format!("missing top-level field {key:?}"));
-        }
-    }
-    if !text.contains("\"cells_failed\": 0") {
-        problems.push("has failed cells".to_string());
-    }
-
-    let cells = parse_cells(text);
+pub fn check(summary: &SweepSummary) -> Vec<String> {
+    let mut problems = summary.schema_problems(SWEEP_NAME);
+    let cells: Vec<_> = summary
+        .cells
+        .iter()
+        .filter_map(|c| parse_label(&c.scenario).map(|coords| (coords, c)))
+        .collect();
     if cells.is_empty() {
         problems.push("no scenario cells found".to_string());
         return problems;
     }
-    if !cells.iter().any(|c| c.flash > 0) {
+    if !cells.iter().any(|((flash, _, _), _)| *flash > 0) {
         problems.push("grid has no flash-crowd cell".to_string());
     }
-    if !cells.iter().any(|c| c.churn) {
+    if !cells.iter().any(|((_, churn, _), _)| *churn) {
         problems.push("grid has no churn cell".to_string());
     }
-    if !cells.iter().any(|c| c.outage) {
+    if !cells.iter().any(|((_, _, outage), _)| *outage) {
         problems.push("grid has no outage cell".to_string());
     }
 
-    for c in &cells {
-        let label = &c.label;
-        if !c.line.contains("\"status\": \"ok\"") {
-            problems.push(format!("cell {label:?} not ok"));
-            continue;
-        }
-        let line = cell_line(text, label).unwrap_or(c.line);
-        if metric_u64(line, "audit_violations") != Some(0) {
+    // Failed cells are already named by the schema check.
+    for ((flash, _, _), c) in cells.iter().filter(|(_, c)| c.result.is_ok()) {
+        let label = &c.scenario;
+        if c.metric("audit_violations") != Some(0.0) {
             problems.push(format!("cell {label:?} has audit violations"));
         }
-        if metric_u64(line, "unrecovered") != Some(0) {
+        if c.metric("unrecovered") != Some(0.0) {
             problems.push(format!("cell {label:?} did not deliver everything"));
         }
-        let per_member = metric_f64(line, "flash_repair_per_member");
-        let packets = metric_f64(line, "packets");
-        match (c.flash, per_member, packets) {
+        let per_member = c.metric("flash_repair_per_member");
+        let packets = c.metric("packets");
+        match (*flash, per_member, packets) {
             (0, Some(pm), _) if pm != 0.0 => {
                 problems.push(format!(
                     "cell {label:?} has flash repairs without a flash crowd"
@@ -475,12 +438,6 @@ pub fn check_json(text: &str) -> Vec<String> {
             }
             _ => {}
         }
-    }
-
-    if text.matches('{').count() != text.matches('}').count()
-        || text.matches('[').count() != text.matches(']').count()
-    {
-        problems.push("unbalanced braces or brackets".to_string());
     }
     problems
 }
@@ -576,55 +533,40 @@ mod tests {
         assert_eq!(o.audit.violations, 0, "audit: {}", o.audit.summary);
     }
 
-    fn synthetic(cells: &[(&str, &str)]) -> String {
-        let mut s = format!(
-            "{{\n  \"sweep\": \"{SWEEP_NAME}\",\n  \"threads\": 1,\n  \
-             \"wall_ms\": 1.0,\n  \"cells_ok\": {},\n  \"cells_failed\": 0,\n  \
-             \"cells\": [\n",
-            cells.len()
-        );
-        for (i, (label, metrics)) in cells.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"scenario\": \"{label}\", \"seed\": 42, \"wall_ms\": 1.0, \
-                 \"status\": \"ok\", \"metrics\": {{{metrics}}}}}{}\n",
-                if i + 1 < cells.len() { "," } else { "" }
-            ));
-        }
-        s.push_str("  ]\n}\n");
-        s
-    }
-
-    fn healthy(per_member: f64) -> String {
-        format!(
-            "\"packets\": 64, \"unrecovered\": 0, \"audit_violations\": 0, \
-             \"flash_repair_per_member\": {per_member}"
-        )
+    fn synthetic(cells: &[(&str, f64)]) -> SweepSummary {
+        let cells = cells
+            .iter()
+            .map(|(label, per_member)| {
+                let metrics = vec![
+                    ("packets", 64.0),
+                    ("unrecovered", 0.0),
+                    ("audit_violations", 0.0),
+                    ("flash_repair_per_member", *per_member),
+                ];
+                (label.to_string(), metrics)
+            })
+            .collect();
+        crate::summary_fixture(SWEEP_NAME, cells)
     }
 
     #[test]
     fn check_passes_healthy_and_catches_unbounded_flash_repairs() {
         let good = synthetic(&[
-            ("n=500/flash=0/churn=on/outage=off", &healthy(0.0)),
-            ("n=500/flash=64/churn=off/outage=on", &healthy(70.0)),
+            ("n=500/flash=0/churn=on/outage=off", 0.0),
+            ("n=500/flash=64/churn=off/outage=on", 70.0),
         ]);
-        assert_eq!(check_json(&good), Vec::<String>::new());
+        assert_eq!(check(&good), Vec::<String>::new());
 
         // A flash cell pulling repairs past the zone bound must fail.
-        let unbounded = synthetic(&[
-            ("n=500/flash=0/churn=on/outage=off", &healthy(0.0)),
-            ("n=500/flash=64/churn=off/outage=on", &healthy(900.0)),
-        ]);
-        assert!(check_json(&unbounded)
-            .iter()
-            .any(|p| p.contains("unbounded")));
+        let mut unbounded = good;
+        let flash_cell = "n=500/flash=64/churn=off/outage=on";
+        crate::set_metric(&mut unbounded, flash_cell, "flash_repair_per_member", 900.0);
+        assert!(check(&unbounded).iter().any(|p| p.contains("unbounded")));
 
         // A violation must fail, and a grid without churn must fail.
-        let violated = synthetic(&[(
-            "n=500/flash=64/churn=off/outage=on",
-            "\"packets\": 64, \"unrecovered\": 0, \"audit_violations\": 3, \
-             \"flash_repair_per_member\": 70.0",
-        )]);
-        let problems = check_json(&violated);
+        let mut violated = synthetic(&[(flash_cell, 70.0)]);
+        crate::set_metric(&mut violated, flash_cell, "audit_violations", 3.0);
+        let problems = check(&violated);
         assert!(problems.iter().any(|p| p.contains("audit violations")));
         assert!(problems.iter().any(|p| p.contains("no churn cell")));
     }

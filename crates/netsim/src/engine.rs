@@ -386,44 +386,14 @@ impl<M: Classify + Clone + 'static> Engine<M> {
         (a as &dyn Any).downcast_ref::<T>()
     }
 
-    /// Serial horizon run (the single-shard path of [`Engine::advance`]).
-    pub(crate) fn run_serial_until(&mut self, t_end: SimTime) -> u64 {
-        let mut processed = 0;
-        while let Some(key) = self.queue.peek_key() {
-            if key.time > t_end {
-                break;
-            }
-            let (key, kind) = self.queue.pop_keyed().expect("peeked");
-            debug_assert!(key.time >= self.now, "time went backwards");
-            self.now = key.time;
-            self.dispatch(kind);
-            processed += 1;
-        }
-        if self.now < t_end {
-            self.now = t_end;
-        }
-        processed
-    }
-
-    /// Serial drain run (the single-shard path of [`Engine::advance`]).
-    pub(crate) fn run_serial_drain(&mut self) -> u64 {
-        let mut processed = 0;
-        while let Some((key, kind)) = self.queue.pop_keyed() {
-            debug_assert!(key.time >= self.now, "time went backwards");
-            self.now = key.time;
-            self.dispatch(kind);
-            processed += 1;
-        }
-        processed
-    }
-
-    /// Processes every queued event with key time ≤ `bound` (one
-    /// conservative window of a sharded run), stamping each event's key
-    /// into the recorder and probe sink so per-shard outputs can be merged
-    /// back into the serial timeline.  Returns `(events processed,
-    /// replicated events processed)` — fault and membership events are
-    /// replicated to every shard, so the sharded driver subtracts the
-    /// duplicates from its event total.
+    /// The event loop: processes every queued event with key time ≤
+    /// `bound` — the whole horizon of a serial run, or one conservative
+    /// window of a sharded run.  Each event's key is stamped into the
+    /// recorder and probe sink (a no-op unless this is a tagged shard) so
+    /// per-shard outputs can be merged back into the serial timeline.
+    /// Returns `(events processed, replicated events processed)` — fault
+    /// and membership events are replicated to every shard, so the
+    /// sharded driver subtracts the duplicates from its event total.
     pub(crate) fn run_window(&mut self, bound: SimTime) -> (u64, u64) {
         let mut processed = 0;
         let mut faults = 0;
@@ -1289,17 +1259,28 @@ mod tests {
 
     #[test]
     fn run_until_stops_the_clock_and_resumes() {
-        let (t, [n0, n1, _]) = chain3(0.0);
-        let mut e: Engine<Msg> = Engine::new(t, 1);
-        let chan = e.add_channel(&[n0, n1]);
-        e.set_agent(n0, Box::new(Burst { chan, count: 1 }));
-        e.set_agent(n1, Box::new(Sniffer::default()));
-        e.advance(RunSpec::to(SimTime::from_millis(5)));
+        let engine = || {
+            let (t, [n0, n1, _]) = chain3(0.0);
+            let mut e: Engine<Msg> = Engine::new(t, 1);
+            let chan = e.add_channel(&[n0, n1]);
+            e.set_agent(n0, Box::new(Burst { chan, count: 1 }));
+            e.set_agent(n1, Box::new(Sniffer::default()));
+            (e, n1)
+        };
+        let (mut e, n1) = engine();
+        let mut sliced = e.advance(RunSpec::to(SimTime::from_millis(5)));
         assert_eq!(e.now(), SimTime::from_millis(5));
         assert!(e.agent::<Sniffer>(n1).unwrap().heard.is_empty());
-        e.advance(RunSpec::to(SimTime::from_secs(1)));
+        sliced += e.advance(RunSpec::to(SimTime::from_secs(1)));
         assert_eq!(e.agent::<Sniffer>(n1).unwrap().heard.len(), 1);
         assert_eq!(e.now(), SimTime::from_secs(1));
+        sliced += e.advance(RunSpec::drain());
+        // The slices process exactly the events of one drain, and a drain
+        // leaves the clock at the last event (10 ms tx + 10 ms latency),
+        // not at SimTime::MAX.
+        let (mut whole, _) = engine();
+        assert_eq!(sliced, whole.advance(RunSpec::drain()));
+        assert_eq!(whole.now(), SimTime::from_millis(20));
     }
 
     #[test]

@@ -16,7 +16,8 @@
 //!   scenario and seed; the other cells complete normally.
 //! * **Reporting** — [`SweepResults::write_json`] writes a
 //!   machine-readable summary (status, wall time, and caller-chosen
-//!   metrics per cell) under a results directory.
+//!   metrics per cell) under a results directory, and
+//!   [`SweepSummary::parse`] reads it back for the sweep gates.
 //!
 //! Wall-clock fields in the summary are measured, hence *not*
 //! deterministic; every simulation metric is.
@@ -286,6 +287,277 @@ fn json_number(v: f64) -> String {
     }
 }
 
+/// A sweep summary read back from the JSON that
+/// [`SweepResults::to_json`] writes — the typed input of every sweep
+/// gate.
+#[derive(Clone, Debug, PartialEq)]
+pub struct SweepSummary {
+    /// The sweep's name (the file stem under `results/`).
+    pub sweep: String,
+    /// Worker threads the sweep ran on.
+    pub threads: usize,
+    /// Wall-clock time for the whole sweep, in milliseconds.
+    pub wall_ms: f64,
+    /// Cells the summary reports as ok.
+    pub cells_ok: usize,
+    /// Cells the summary reports as failed.
+    pub cells_failed: usize,
+    /// Every cell, in sweep order.
+    pub cells: Vec<SummaryCell>,
+}
+
+/// One cell of a [`SweepSummary`].
+#[derive(Clone, Debug, PartialEq)]
+pub struct SummaryCell {
+    /// The cell's scenario label.
+    pub scenario: String,
+    /// The cell's RNG seed.
+    pub seed: u64,
+    /// Wall-clock time the cell took, in milliseconds.
+    pub wall_ms: f64,
+    /// The published metrics in emission order (`None` where the writer
+    /// wrote a non-finite value as `null`), or the panic message.
+    pub result: Result<Vec<(String, Option<f64>)>, String>,
+}
+
+impl SummaryCell {
+    /// A finite metric of an ok cell, if present.
+    pub fn metric(&self, key: &str) -> Option<f64> {
+        let metrics = self.result.as_ref().ok()?;
+        metrics.iter().find(|(k, _)| k == key)?.1
+    }
+}
+
+impl SweepSummary {
+    /// Parses a summary, rejecting anything that is not well-formed JSON
+    /// in the sweep-runner schema.
+    pub fn parse(text: &str) -> Result<SweepSummary, String> {
+        let mut reader = JsonReader { text, pos: 0 };
+        let root = reader.value(0)?;
+        if reader.peek().is_some() {
+            return Err(format!("trailing data at byte {}", reader.pos));
+        }
+        let JsonValue::Array(cells) = root.get("cells")? else {
+            return Err("\"cells\" is not an array".to_string());
+        };
+        let cells = cells
+            .iter()
+            .map(|cell| {
+                let result = match cell.str_at("status")? {
+                    "ok" => {
+                        let JsonValue::Object(metrics) = cell.get("metrics")? else {
+                            return Err("\"metrics\" is not an object".to_string());
+                        };
+                        let metrics = metrics.iter().map(|(key, v)| match v {
+                            JsonValue::Null => Ok((key.clone(), None)),
+                            _ => Ok((key.clone(), Some(v.number(key)?))),
+                        });
+                        Ok(metrics.collect::<Result<_, String>>()?)
+                    }
+                    "panicked" => Err(cell.str_at("error")?.to_string()),
+                    other => return Err(format!("unknown cell status {other:?}")),
+                };
+                Ok(SummaryCell {
+                    scenario: cell.str_at("scenario")?.to_string(),
+                    seed: cell.get("seed")?.number("seed")?,
+                    wall_ms: cell.get("wall_ms")?.number("wall_ms")?,
+                    result,
+                })
+            })
+            .collect::<Result<_, String>>()?;
+        Ok(SweepSummary {
+            sweep: root.str_at("sweep")?.to_string(),
+            threads: root.get("threads")?.number("threads")?,
+            wall_ms: root.get("wall_ms")?.number("wall_ms")?,
+            cells_ok: root.get("cells_ok")?.number("cells_ok")?,
+            cells_failed: root.get("cells_failed")?.number("cells_failed")?,
+            cells,
+        })
+    }
+
+    /// The checks every sweep gate shares: the sweep is named `name`,
+    /// `cells_ok`/`cells_failed` agree with the cells, and every cell
+    /// finished ok.  Returns one complaint per problem (empty = pass).
+    pub fn schema_problems(&self, name: &str) -> Vec<String> {
+        let mut problems = Vec::new();
+        if self.sweep != name {
+            problems.push(format!("sweep is {:?}, expected {name:?}", self.sweep));
+        }
+        let ok = self.cells.iter().filter(|c| c.result.is_ok()).count();
+        let failed = self.cells.len() - ok;
+        if (self.cells_ok, self.cells_failed) != (ok, failed) {
+            problems.push(format!(
+                "cells_ok/cells_failed {}/{} disagree with the cells ({ok}/{failed})",
+                self.cells_ok, self.cells_failed
+            ));
+        }
+        for c in &self.cells {
+            if let Err(e) = &c.result {
+                problems.push(format!("cell {:?} not ok: {e}", c.scenario));
+            }
+        }
+        problems
+    }
+
+    /// The cell labelled `scenario`, if present.
+    pub fn cell(&self, scenario: &str) -> Option<&SummaryCell> {
+        self.cells.iter().find(|c| c.scenario == scenario)
+    }
+}
+
+/// A JSON value, restricted to what [`SweepResults::to_json`] emits (no
+/// booleans); numbers keep their source text so integers parse exactly.
+enum JsonValue {
+    Null,
+    Number(String),
+    Str(String),
+    Array(Vec<JsonValue>),
+    Object(Vec<(String, JsonValue)>),
+}
+
+/// Nesting bound for [`JsonReader`]; the schema itself is three deep.
+const MAX_DEPTH: usize = 8;
+
+impl JsonValue {
+    /// The value of field `key` of an object.
+    fn get(&self, key: &str) -> Result<&JsonValue, String> {
+        let JsonValue::Object(fields) = self else {
+            return Err(format!("expected an object holding {key:?}"));
+        };
+        let field = fields.iter().find(|(k, _)| k == key);
+        field
+            .map(|(_, v)| v)
+            .ok_or_else(|| format!("missing field {key:?}"))
+    }
+
+    /// The string field `key` of an object.
+    fn str_at(&self, key: &str) -> Result<&str, String> {
+        match self.get(key)? {
+            JsonValue::Str(s) => Ok(s),
+            _ => Err(format!("{key:?} is not a string")),
+        }
+    }
+
+    /// This number, parsed as `T`; `what` names it in errors.
+    fn number<T: std::str::FromStr>(&self, what: &str) -> Result<T, String> {
+        match self {
+            JsonValue::Number(n) => n.parse().map_err(|_| format!("{what:?} = {n} is invalid")),
+            _ => Err(format!("{what:?} is not a number")),
+        }
+    }
+}
+
+/// Recursive-descent reader over the summary text.
+struct JsonReader<'a> {
+    text: &'a str,
+    pos: usize,
+}
+
+impl JsonReader<'_> {
+    /// Skips whitespace and returns the next byte without consuming it.
+    fn peek(&mut self) -> Option<u8> {
+        let rest = &self.text[self.pos..];
+        self.pos += rest.len() - rest.trim_start().len();
+        self.text.as_bytes().get(self.pos).copied()
+    }
+
+    /// Consumes `byte` if it comes next.
+    fn eat(&mut self, byte: u8) -> bool {
+        let hit = self.peek() == Some(byte);
+        self.pos += usize::from(hit);
+        hit
+    }
+
+    fn expect(&mut self, byte: u8) -> Result<(), String> {
+        if self.eat(byte) {
+            return Ok(());
+        }
+        Err(format!("expected {:?} at byte {}", byte as char, self.pos))
+    }
+
+    fn value(&mut self, depth: usize) -> Result<JsonValue, String> {
+        if depth > MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            ));
+        }
+        match self.peek() {
+            // Objects and arrays share one loop; array items get no key.
+            Some(open @ (b'{' | b'[')) => {
+                self.pos += 1;
+                let (object, close) = (open == b'{', if open == b'{' { b'}' } else { b']' });
+                let mut items = Vec::new();
+                let mut more = !self.eat(close);
+                while more {
+                    let key = if object {
+                        self.string()?
+                    } else {
+                        String::new()
+                    };
+                    if object {
+                        self.expect(b':')?;
+                    }
+                    items.push((key, self.value(depth + 1)?));
+                    more = self.eat(b',');
+                    if !more {
+                        self.expect(close)?;
+                    }
+                }
+                Ok(if object {
+                    JsonValue::Object(items)
+                } else {
+                    JsonValue::Array(items.into_iter().map(|(_, v)| v).collect())
+                })
+            }
+            Some(b'"') => self.string().map(JsonValue::Str),
+            Some(b'n') if self.text[self.pos..].starts_with("null") => {
+                self.pos += 4;
+                Ok(JsonValue::Null)
+            }
+            Some(b) if b == b'-' || b.is_ascii_digit() => {
+                let rest = &self.text[self.pos..];
+                let len = rest
+                    .find(|c: char| !(c.is_ascii_digit() || "+-.eE".contains(c)))
+                    .unwrap_or(rest.len());
+                self.pos += len;
+                Ok(JsonValue::Number(rest[..len].to_string()))
+            }
+            Some(b) => Err(format!("unexpected {:?} at byte {}", b as char, self.pos)),
+            None => Err("unexpected end of input".to_string()),
+        }
+    }
+
+    /// A string literal, decoding the escapes [`json_string`] writes.
+    fn string(&mut self) -> Result<String, String> {
+        self.expect(b'"')?;
+        let mut out = String::new();
+        let mut chars = self.text[self.pos..].char_indices();
+        while let Some((i, c)) = chars.next() {
+            out.push(match c {
+                '"' => {
+                    self.pos += i + 1;
+                    return Ok(out);
+                }
+                '\\' => match chars.next().map(|(_, e)| e) {
+                    Some('n') => '\n',
+                    Some('r') => '\r',
+                    Some('t') => '\t',
+                    Some('u') => {
+                        let hex: String = chars.by_ref().take(4).map(|(_, h)| h).collect();
+                        let code = u32::from_str_radix(&hex, 16).ok().and_then(char::from_u32);
+                        code.ok_or_else(|| format!("bad escape \\u{hex}"))?
+                    }
+                    Some(e @ ('"' | '\\' | '/')) => e,
+                    e => return Err(format!("bad escape {e:?}")),
+                },
+                c => c,
+            });
+        }
+        Err("unterminated string".to_string())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -354,17 +626,76 @@ mod tests {
     }
 
     #[test]
-    fn json_summary_is_well_formed() {
-        let res = run_sweep(grid(&["a\"b"], &[1, 2]), two_threads(), |c| c.seed as f64);
-        let json = res.to_json("unit", |v| vec![("value".to_string(), *v)]);
-        assert!(json.contains("\"sweep\": \"unit\""));
+    fn json_summary_round_trips_through_the_reader() {
+        let outcome = |scenario: &str, seed, result| CellOutcome {
+            cell: Cell::new(scenario, seed),
+            wall: Duration::from_micros(1_500),
+            result,
+        };
+        // An escaped scenario name, a NaN metric (written as null), and a
+        // panic message whose braces and brackets are string content.
+        let panic = "cell 'boom' (seed 3) panicked: index [3] out of {bounds".to_string();
+        let res = SweepResults {
+            outcomes: vec![
+                outcome("a\"b", 1, Ok(1.0)),
+                outcome("nan", 2, Ok(f64::NAN)),
+                outcome("boom", 3, Err(panic.clone())),
+            ],
+            threads: 2,
+            wall: Duration::from_millis(7),
+        };
+        let json = res.to_json("unit", |v| {
+            vec![("value".to_string(), *v), ("k".into(), 0.25)]
+        });
         assert!(json.contains("\"a\\\"b\""), "scenario quotes escaped");
-        assert!(json.contains("\"value\": 1"));
-        assert!(json.contains("\"cells_ok\": 2"));
-        // Smoke-parse: balanced braces/brackets, no trailing comma.
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
-        assert!(!json.contains(",\n  ]"));
+        assert!(json.contains("\"value\": null"), "NaN written as null");
+        let cell = |scenario: &str, seed, result| SummaryCell {
+            scenario: scenario.to_string(),
+            seed,
+            wall_ms: 1.5,
+            result,
+        };
+        let metrics = |v| {
+            Ok(vec![
+                ("value".to_string(), v),
+                ("k".to_string(), Some(0.25)),
+            ])
+        };
+        let parsed = SweepSummary::parse(&json).expect("the writer's output parses");
+        assert_eq!(
+            parsed,
+            SweepSummary {
+                sweep: "unit".to_string(),
+                threads: 2,
+                wall_ms: 7.0,
+                cells_ok: 2,
+                cells_failed: 1,
+                cells: vec![
+                    cell("a\"b", 1, metrics(Some(1.0))),
+                    cell("nan", 2, metrics(None)),
+                    cell("boom", 3, Err(panic)),
+                ],
+            }
+        );
+        assert_eq!(
+            parsed.cell("a\"b").and_then(|c| c.metric("value")),
+            Some(1.0)
+        );
+        assert_eq!(parsed.cell("nan").and_then(|c| c.metric("value")), None);
+
+        // The shared schema check names the failed cell and a wrong name…
+        let problems = parsed.schema_problems("unit");
+        assert_eq!(problems.len(), 1, "{problems:?}");
+        assert!(problems[0].contains("\"boom\" not ok"));
+        assert!(parsed.schema_problems("other")[0].contains("expected \"other\""));
+        // …and counts that disagree with the cells.
+        let miscounted = SweepSummary {
+            cells_ok: 3,
+            ..parsed
+        };
+        assert!(miscounted.schema_problems("unit")[0].contains("disagree"));
+        // A truncated document does not parse.
+        assert!(SweepSummary::parse(&json[..json.len() / 2]).is_err());
     }
 
     #[test]
@@ -374,6 +705,7 @@ mod tests {
         assert_eq!(res.ok_count(), 0);
         let json = res.to_json("empty", |_| Vec::new());
         assert!(json.contains("\"cells\": [\n  ]"));
+        assert!(SweepSummary::parse(&json).unwrap().cells.is_empty());
     }
 
     #[test]

@@ -275,10 +275,15 @@ impl<M: Classify + Clone + Send + 'static> Engine<M> {
                 );
                 self.run_sharded(p, threads, spec.until)
             }
-            _ => match spec.until {
-                Some(t) => self.run_serial_until(t),
-                None => self.run_serial_drain(),
-            },
+            _ => {
+                let (processed, _) = self.run_window(spec.until.unwrap_or(SimTime::MAX));
+                // A horizon run stops the clock at the horizon; a drain
+                // leaves it at the last event.
+                if let Some(t) = spec.until {
+                    self.now = self.now.max(t);
+                }
+                processed
+            }
         }
     }
 

@@ -1,11 +1,12 @@
 //! Integration tests for the parallel sweep runner against the real
 //! protocol stack: figure runs through the runner must be bit-identical
-//! to direct serial runs, at any worker count, and the JSON summary must
-//! land on disk.
+//! to direct serial runs, at any worker count, the JSON summary must
+//! land on disk, and every committed summary must read back through the
+//! runner's reader.
 
 use sharqfec::Variant;
 use sharqfec_bench::{Scenario, TrafficRun, Workload};
-use sharqfec_netsim::runner::{grid, run_sweep, Cell};
+use sharqfec_netsim::runner::{grid, run_sweep, Cell, SweepSummary};
 use std::num::NonZeroUsize;
 
 fn small(seed: u64) -> Workload {
@@ -103,4 +104,31 @@ fn sweep_json_summary_is_written_and_names_failing_seeds() {
     assert!(json.contains("synthetic failure"));
     assert!(json.contains("\"total_repairs\""));
     std::fs::remove_dir_all(dir).ok();
+}
+
+#[test]
+fn committed_summaries_read_back_and_pass_the_schema_check() {
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/results");
+    let mut paths: Vec<_> = std::fs::read_dir(dir)
+        .expect("results directory")
+        .map(|entry| entry.expect("directory entry").path())
+        .filter(|p| p.extension().is_some_and(|e| e == "json"))
+        .collect();
+    paths.sort();
+    assert_eq!(paths.len(), 7, "committed summaries: {paths:?}");
+    for path in paths {
+        let text = std::fs::read_to_string(&path).expect("summary readable");
+        let summary =
+            SweepSummary::parse(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        let name = path
+            .file_stem()
+            .and_then(|s| s.to_str())
+            .expect("utf-8 name");
+        assert_eq!(
+            summary.schema_problems(name),
+            Vec::<String>::new(),
+            "{name}"
+        );
+        assert!(!summary.cells.is_empty(), "{name} has no cells");
+    }
 }
