@@ -22,6 +22,11 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet \
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
+echo "==> cargo test --release (perfbench, the repo benchmark)"
+# perfbench is a package of its own outside the workspace, so the stages
+# above never compile it; this one fails when an API it uses goes away.
+cargo test --release --manifest-path perfbench/Cargo.toml -q
+
 strip_timing() {
   sed -E 's/"(wall_ms|threads|shards|events_per_sec)": [0-9.eE+-]+/"\1": _/g' "$1"
 }

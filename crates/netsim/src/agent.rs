@@ -17,11 +17,11 @@ use std::any::Any;
 
 /// Handle to a pending timer, used for cancellation.
 ///
-/// Engine-issued ids encode `(node + 1, per-node sequence)` so a timer's
-/// owning node can be recovered without a lookup — the sharded driver
-/// partitions pending-timer state by that node.  Ids constructed directly
-/// from raw values (e.g. in test harnesses that never hand them to an
-/// engine) are unaffected.
+/// Engine-issued ids encode `(node + 1, per-node sequence)`, which makes
+/// them unique engine-wide (the engine's live-timer set is keyed by id)
+/// while keeping the per-node sequence that doubles as the timer event's
+/// key sequence.  Ids constructed directly from raw values (e.g. in test
+/// harnesses that never hand them to an engine) are unaffected.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct TimerId(pub u64);
 
@@ -38,14 +38,6 @@ impl TimerId {
             "node id too large to encode in a TimerId"
         );
         TimerId(((u64::from(node.0) + 1) << TIMER_SEQ_BITS) | seq)
-    }
-
-    /// The owning node of an engine-issued id (`None` for raw ids that
-    /// never went through [`TimerId::encode`]).
-    pub(crate) fn node(self) -> Option<NodeId> {
-        (self.0 >> TIMER_SEQ_BITS)
-            .checked_sub(1)
-            .map(|n| NodeId(n as u32))
     }
 
     /// The per-node sequence number of an engine-issued id.

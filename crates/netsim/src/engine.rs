@@ -17,11 +17,15 @@
 //! which interns each transmitted packet once and forwards lightweight
 //! handles hop-by-hop instead of cloning an `Rc` per hop.  Both recycle
 //! their slots, so a steady-state run does not touch the allocator per
-//! event or per packet.
+//! event or per packet.  Every event is scheduled under its [`EventKey`];
+//! timer liveness is one set of armed, uncancelled timer ids.
 //!
-//! Configuration goes through [`EngineBuilder`], which assembles the whole
-//! scenario — channels, agents with start times, recorder mode, fault
-//! plan — before [`EngineBuilder::build`] produces a runnable [`Engine`].
+//! [`EngineBuilder`] is the only way to create an [`Engine`]: it assembles
+//! the whole scenario — channels, agents with start times, recorder mode,
+//! probes, fault plan, workload scenario — and [`EngineBuilder::build`]
+//! produces a runnable engine.  [`Engine::advance`] then runs it, with the
+//! horizon, shard plan and thread count all carried by its
+//! [`RunSpec`](crate::shard::RunSpec).
 //!
 //! ## Dynamic topology
 //!
@@ -47,15 +51,15 @@ use crate::queue::{EventKey, EventQueue};
 use crate::rng::SimRng;
 use crate::routing::{DistanceOracle, Spt};
 use crate::scenario::{MembershipEvent, ScenarioPlan};
-use crate::shard::{OutMsg, ShardCtx, ShardPlan};
-use crate::time::{SimDuration, SimTime};
+use crate::shard::{OutMsg, ShardCtx};
+use crate::time::SimTime;
 use std::any::Any;
 use std::collections::HashSet;
-use std::sync::Arc;
 
 /// One scheduled event.  Payload-free: packets in flight live in the
 /// engine's arena and events carry only a `Copy` handle, so the whole
-/// enum is small and `M`-independent.
+/// enum is small, `Copy` and `M`-independent.
+#[derive(Clone, Copy)]
 pub(crate) enum EventKind {
     Start(NodeId),
     /// Packet arriving at `node`, to be delivered and forwarded onward.
@@ -116,14 +120,15 @@ pub struct Engine<M> {
     /// hold [`PacketRef`] handles into it.
     pub(crate) arena: PacketArena<M>,
     pub(crate) now: SimTime,
-    /// Timer events scheduled but not yet fired.  Keyed by id (ids are
-    /// never reused), removed when the event is popped, so both this set
-    /// and `cancelled` stay bounded by the number of in-flight timers.
-    pub(crate) pending_timers: HashSet<TimerId>,
-    /// Cancellations whose timer event is still in the queue.  Invariant:
-    /// `cancelled ⊆ pending_timers` — cancelling an already-fired (or
-    /// never-armed) timer must not leak an entry forever.
-    pub(crate) cancelled: HashSet<TimerId>,
+    /// Armed timers that have neither fired nor been cancelled.  An id is
+    /// inserted when its timer is set and removed by whichever comes
+    /// first — its cancellation or its event popping — so the set stays
+    /// bounded by the number of queued timer events (ids are never
+    /// reused).
+    pub(crate) live_timers: HashSet<TimerId>,
+    /// Cancelled timers whose event is still queued: each still pops (and
+    /// counts as an event) but finds its id gone from `live_timers`.
+    pub(crate) cancelled_timers: usize,
     /// Per-node monotone counter feeding timer ids, packet uids, and
     /// event-key sequence numbers.  Only drawn while processing events at
     /// the owning node, so the draw sequence — and with it every
@@ -139,61 +144,9 @@ pub struct Engine<M> {
     pub(crate) shard: Option<ShardCtx>,
     /// Cross-shard arrivals generated during the current window.
     pub(crate) outbox: Vec<OutMsg<M>>,
-    /// Builder-supplied defaults consulted by [`Engine::advance`] when the
-    /// [`RunSpec`] leaves them unset.
-    pub(crate) default_plan: Option<Arc<ShardPlan>>,
-    pub(crate) default_threads: Option<usize>,
 }
 
 impl<M: Classify + Clone + 'static> Engine<M> {
-    /// Creates an engine over a topology with a root RNG seed.
-    ///
-    /// The distance oracle is computed eagerly — dense all-pairs for meshy
-    /// topologies (cheap at paper scale, 113 nodes), `O(n)` tree arrays
-    /// when the topology is a tree; per-source routing trees are computed
-    /// lazily on first use so fault-driven invalidation stays cheap, and
-    /// are never computed at all on fault-free tree topologies (see
-    /// [`Engine::schedule_faults`]).
-    ///
-    /// Prefer [`EngineBuilder`], which configures channels, agents,
-    /// recorder mode, and the fault plan in one place.
-    pub fn new(topo: Topology, seed: u64) -> Engine<M> {
-        let n = topo.node_count();
-        let mut root = SimRng::new(seed);
-        let loss_base = root.split(u64::MAX);
-        let agent_rngs = (0..n as u64).map(|i| root.split(i)).collect();
-        let oracle = DistanceOracle::compute(&topo);
-        let tree_forwarding = oracle.is_tree();
-        Engine {
-            link_state: vec![LinkState::default(); topo.link_count()],
-            link_up: vec![true; topo.link_count()],
-            node_up: vec![true; n],
-            epoch: vec![0; n],
-            spts: Vec::new(),
-            tree_forwarding,
-            oracle,
-            channels: Vec::new(),
-            agents: (0..n).map(|_| None).collect(),
-            agent_rngs,
-            loss_base,
-            loss_streams: (0..topo.link_count()).map(|_| None).collect(),
-            queue: EventQueue::new(),
-            arena: PacketArena::new(),
-            now: SimTime::ZERO,
-            pending_timers: HashSet::new(),
-            cancelled: HashSet::new(),
-            node_seq: vec![0; n],
-            build_seq: 0,
-            recorder: Recorder::default(),
-            probes: ProbeSink::default(),
-            shard: None,
-            outbox: Vec::new(),
-            default_plan: None,
-            default_threads: None,
-            topo,
-        }
-    }
-
     /// The topology under simulation.
     pub fn topology(&self) -> &Topology {
         &self.topo
@@ -242,15 +195,16 @@ impl<M: Classify + Clone + 'static> Engine<M> {
         self.now
     }
 
-    /// Timer events scheduled but not yet fired (diagnostics).
+    /// Timer events scheduled but not yet popped, cancelled or not
+    /// (diagnostics).
     pub fn pending_timer_count(&self) -> usize {
-        self.pending_timers.len()
+        self.live_timers.len() + self.cancelled_timers
     }
 
     /// Cancellations waiting for their timer event to pop (diagnostics).
     /// Always bounded by [`Engine::pending_timer_count`].
     pub fn cancelled_timer_count(&self) -> usize {
-        self.cancelled.len()
+        self.cancelled_timers
     }
 
     /// Packets currently interned in the arena, i.e. with at least one
@@ -271,21 +225,10 @@ impl<M: Classify + Clone + 'static> Engine<M> {
         &self.recorder
     }
 
-    /// Mutable access to the recorder (e.g. to clear a warm-up phase).
-    pub fn recorder_mut(&mut self) -> &mut Recorder {
-        &mut self.recorder
-    }
-
     /// The probe sink agents emit decision-level events into (disabled by
     /// default; see [`EngineBuilder::record_probes`]).
     pub fn probes(&self) -> &ProbeSink {
         &self.probes
-    }
-
-    /// Mutable probe-sink access (e.g. to toggle recording mid-run or
-    /// attach an [`Auditor`] to an imperatively-built engine).
-    pub fn probes_mut(&mut self) -> &mut ProbeSink {
-        &mut self.probes
     }
 
     /// Probe events captured so far (empty unless recording was enabled).
@@ -299,22 +242,9 @@ impl<M: Classify + Clone + 'static> Engine<M> {
         self.probes.audit_report(self.now)
     }
 
-    /// Registers a multicast channel over the given members.
-    pub fn add_channel(&mut self, members: &[NodeId]) -> ChannelId {
-        let id = ChannelId(self.channels.len() as u32);
-        self.channels
-            .push(Channel::new(self.topo.node_count(), members));
-        id
-    }
-
     /// Channel lookup.
     pub fn channel(&self, id: ChannelId) -> &Channel {
         &self.channels[id.idx()]
-    }
-
-    /// Attaches an agent to a node and schedules its `on_start` at t = 0.
-    pub fn set_agent(&mut self, node: NodeId, agent: Box<dyn Agent<M>>) {
-        self.attach_agent(node, agent, SimTime::ZERO);
     }
 
     fn attach_agent(&mut self, node: NodeId, agent: Box<dyn Agent<M>>, at: SimTime) {
@@ -334,7 +264,7 @@ impl<M: Classify + Clone + 'static> Engine<M> {
     /// fast path for the rest of the run: packets already in a subtree
     /// must observe the live link mask and rerouted trees, which only the
     /// masked-SPT path models.
-    pub fn schedule_faults(&mut self, plan: &FaultPlan) {
+    fn schedule_faults(&mut self, plan: &FaultPlan) {
         if plan
             .events()
             .iter()
@@ -364,7 +294,7 @@ impl<M: Classify + Clone + 'static> Engine<M> {
     /// never disables the tree-forwarding fast path and invalidates no
     /// routing tree: scope pruning consults live membership per hop, so
     /// the membership flip is visible to the very next packet.
-    pub fn schedule_membership(&mut self, when: SimTime, ev: MembershipEvent) {
+    fn schedule_membership(&mut self, when: SimTime, ev: MembershipEvent) {
         assert!(
             when >= self.now,
             "membership event at {when:?} is in the past (now = {:?})",
@@ -401,7 +331,7 @@ impl<M: Classify + Clone + 'static> Engine<M> {
             if key.time > bound {
                 break;
             }
-            let (key, kind) = self.queue.pop_keyed().expect("peeked");
+            let (key, kind) = self.queue.pop().expect("peeked");
             debug_assert!(key.time >= self.now, "time went backwards");
             self.now = key.time;
             if matches!(kind, EventKind::Fault(_) | EventKind::Membership(_)) {
@@ -423,7 +353,7 @@ impl<M: Classify + Clone + 'static> Engine<M> {
         for m in msgs {
             let pref = self.arena.insert(m.pkt, m.class);
             self.arena.add_ref(pref);
-            self.queue.push_keyed(
+            self.queue.push(
                 m.key,
                 EventKind::Arrive {
                     node: m.node,
@@ -443,7 +373,7 @@ impl<M: Classify + Clone + 'static> Engine<M> {
             oseq: self.build_seq,
         };
         self.build_seq += 1;
-        self.queue.push_keyed(key, kind);
+        self.queue.push(key, kind);
     }
 
     /// Schedules an event generated while processing node `node`: origin
@@ -456,7 +386,7 @@ impl<M: Classify + Clone + 'static> Engine<M> {
             origin: node.0 + 1,
             oseq,
         };
-        self.queue.push_keyed(key, kind);
+        self.queue.push(key, kind);
     }
 
     /// Draws the next value of `node`'s monotone sequence counter.
@@ -478,8 +408,10 @@ impl<M: Classify + Clone + 'static> Engine<M> {
                 token,
                 epoch,
             } => {
-                self.pending_timers.remove(&id);
-                if self.cancelled.remove(&id) {
+                // A cancelled timer still pops, but its id is no longer
+                // live.
+                if !self.live_timers.remove(&id) {
+                    self.cancelled_timers -= 1;
                     return;
                 }
                 // Timers armed before a crash die with the old epoch, so a
@@ -623,7 +555,7 @@ impl<M: Classify + Clone + 'static> Engine<M> {
     fn apply(&mut self, node: NodeId, action: Action<M>) {
         match action {
             Action::SetTimer { id, at, token } => {
-                self.pending_timers.insert(id);
+                self.live_timers.insert(id);
                 let epoch = self.epoch[node.idx()];
                 // The timer id's per-node sequence doubles as the event
                 // key sequence — both come from the same counter.
@@ -640,11 +572,10 @@ impl<M: Classify + Clone + 'static> Engine<M> {
                 );
             }
             Action::CancelTimer(id) => {
-                // Only remember cancellations for timers still in the
-                // queue; cancelling an already-fired timer (or cancelling
-                // twice) must be a bounded no-op, not a permanent leak.
-                if self.pending_timers.contains(&id) {
-                    self.cancelled.insert(id);
+                // Cancelling an already-fired timer (or cancelling twice)
+                // finds no live id: a bounded no-op, not a permanent leak.
+                if self.live_timers.remove(&id) {
+                    self.cancelled_timers += 1;
                 }
             }
             Action::Multicast {
@@ -658,8 +589,14 @@ impl<M: Classify + Clone + 'static> Engine<M> {
     }
 
     /// Injects a multicast transmission from `node` (agents do this via
-    /// [`Ctx::multicast`]; tests may call it directly).
-    pub fn multicast_from(&mut self, node: NodeId, channel: ChannelId, payload: M, bytes: u32) {
+    /// [`Ctx::multicast`]; in-crate tests may call it directly).
+    pub(crate) fn multicast_from(
+        &mut self,
+        node: NodeId,
+        channel: ChannelId,
+        payload: M,
+        bytes: u32,
+    ) {
         assert!(
             self.channels[channel.idx()].contains(node),
             "{node:?} is not a member of {channel:?}"
@@ -827,11 +764,9 @@ impl<M: Classify + Clone + 'static> Engine<M> {
 
 /// Configures a complete simulation scenario — topology, seed, recorder,
 /// channels, agents with start times, and fault plan — then produces a
-/// runnable [`Engine`].
+/// runnable [`Engine`].  The only way to create one.
 ///
-/// Channel ids are assigned in registration order starting at 0, exactly
-/// as [`Engine::add_channel`] does, so a builder-constructed scenario is
-/// bit-identical to the equivalent imperative setup.
+/// Channel ids are assigned in registration order starting at 0.
 ///
 /// ```
 /// use sharqfec_netsim::prelude::*;
@@ -859,15 +794,12 @@ pub struct EngineBuilder<M> {
     topo: Topology,
     seed: u64,
     mode: RecorderMode,
-    bin_width: Option<SimDuration>,
     channels: Vec<Vec<NodeId>>,
     agents: Vec<(NodeId, Box<dyn Agent<M>>, SimTime)>,
     plan: FaultPlan,
     scenario: ScenarioPlan,
     record_probes: bool,
     audit: Option<AuditConfig>,
-    shard_plan: Option<Arc<ShardPlan>>,
-    threads: Option<usize>,
 }
 
 impl<M: Classify + Clone + 'static> EngineBuilder<M> {
@@ -877,41 +809,18 @@ impl<M: Classify + Clone + 'static> EngineBuilder<M> {
             topo,
             seed,
             mode: RecorderMode::Raw,
-            bin_width: None,
             channels: Vec::new(),
             agents: Vec::new(),
             plan: FaultPlan::new(),
             scenario: ScenarioPlan::new(),
             record_probes: false,
             audit: None,
-            shard_plan: None,
-            threads: None,
         }
-    }
-
-    /// Default shard plan for [`Engine::advance`] calls whose [`RunSpec`](crate::shard::RunSpec)
-    /// leaves the plan unset (default: serial).
-    pub fn shard_plan(&mut self, plan: Arc<ShardPlan>) -> &mut Self {
-        self.shard_plan = Some(plan);
-        self
-    }
-
-    /// Default worker-thread count for sharded [`Engine::advance`] calls
-    /// (default: one thread per shard).
-    pub fn threads(&mut self, threads: usize) -> &mut Self {
-        self.threads = Some(threads);
-        self
     }
 
     /// How observations are stored (default [`RecorderMode::Raw`]).
     pub fn recorder_mode(&mut self, mode: RecorderMode) -> &mut Self {
         self.mode = mode;
-        self
-    }
-
-    /// Histogram bin width for [`RecorderMode::Streaming`] (default 100 ms).
-    pub fn bin_width(&mut self, width: SimDuration) -> &mut Self {
-        self.bin_width = Some(width);
         self
     }
 
@@ -991,43 +900,84 @@ impl<M: Classify + Clone + 'static> EngineBuilder<M> {
         self
     }
 
-    /// Builds the engine: recorder configured, channels registered, agent
-    /// start events and fault events queued.
+    /// Builds the engine: recorder and probe sink created in their
+    /// modes, channels registered, agent start events and fault events
+    /// queued.
+    ///
+    /// The distance oracle is computed eagerly — dense all-pairs for meshy
+    /// topologies (cheap at paper scale, 113 nodes), `O(n)` tree arrays
+    /// when the topology is a tree; per-source routing trees are computed
+    /// lazily on first use so fault-driven invalidation stays cheap, and
+    /// are never computed at all on fault-free tree topologies.
     ///
     /// # Panics
     ///
     /// Panics on an unknown node, a node with two agents, or a fault
     /// referencing an unknown link or node.
     pub fn build(self) -> Engine<M> {
-        let mut engine: Engine<M> = Engine::new(self.topo, self.seed);
-        if self.record_probes {
-            engine.probes.set_recording(true);
-        }
+        let topo = self.topo;
+        let n = topo.node_count();
+        let mut root = SimRng::new(self.seed);
+        let loss_base = root.split(u64::MAX);
+        let agent_rngs = (0..n as u64).map(|i| root.split(i)).collect();
+        let oracle = DistanceOracle::compute(&topo);
+        let mut probes = if self.record_probes {
+            ProbeSink::recording()
+        } else {
+            ProbeSink::default()
+        };
         if let Some(mut cfg) = self.audit {
             cfg.excuse_faults(&self.plan);
             cfg.excuse_scenario(&self.scenario);
-            engine.probes.set_auditor(Auditor::new(cfg));
+            probes.set_auditor(Auditor::new(cfg));
         }
-        engine.recorder.set_mode(self.mode);
-        if let Some(w) = self.bin_width {
-            engine.recorder.set_bin_width(w);
-        }
-        for (i, members) in self.channels.iter().enumerate() {
-            if self.scenario.is_empty() {
-                engine.add_channel(members);
-                continue;
-            }
-            // Future joiners start outside their channels: strip them
-            // from the initial member list (keeps setup layers free to
-            // register full zone rosters).
-            let id = ChannelId(i as u32);
-            let initial: Vec<NodeId> = members
-                .iter()
-                .copied()
-                .filter(|&m| !self.scenario.initially_out(id, m))
-                .collect();
-            engine.add_channel(&initial);
-        }
+        let scenario = &self.scenario;
+        let channels = self
+            .channels
+            .iter()
+            .enumerate()
+            .map(|(i, members)| {
+                if scenario.is_empty() {
+                    return Channel::new(n, members);
+                }
+                // Future joiners start outside their channels: strip them
+                // from the initial member list (keeps setup layers free to
+                // register full zone rosters).
+                let id = ChannelId(i as u32);
+                let initial: Vec<NodeId> = members
+                    .iter()
+                    .copied()
+                    .filter(|&m| !scenario.initially_out(id, m))
+                    .collect();
+                Channel::new(n, &initial)
+            })
+            .collect();
+        let mut engine = Engine {
+            link_state: vec![LinkState::default(); topo.link_count()],
+            link_up: vec![true; topo.link_count()],
+            node_up: vec![true; n],
+            epoch: vec![0; n],
+            spts: Vec::new(),
+            tree_forwarding: oracle.is_tree(),
+            oracle,
+            channels,
+            agents: (0..n).map(|_| None).collect(),
+            agent_rngs,
+            loss_base,
+            loss_streams: (0..topo.link_count()).map(|_| None).collect(),
+            queue: EventQueue::new(),
+            arena: PacketArena::new(),
+            now: SimTime::ZERO,
+            live_timers: HashSet::new(),
+            cancelled_timers: 0,
+            node_seq: vec![0; n],
+            build_seq: 0,
+            recorder: Recorder::new(self.mode),
+            probes,
+            shard: None,
+            outbox: Vec::new(),
+            topo,
+        };
         // Membership events go in before any agent start, so a join at
         // time t orders ahead of an agent start at the same t (both are
         // origin-0 keys sequenced by push order).
@@ -1048,8 +998,6 @@ impl<M: Classify + Clone + 'static> EngineBuilder<M> {
             plan.push(when, FaultEvent::NodeRestart(node));
         }
         engine.schedule_faults(&plan);
-        engine.default_plan = self.shard_plan;
-        engine.default_threads = self.threads;
         engine
     }
 }
@@ -1116,14 +1064,28 @@ mod tests {
         (b.build(), [n0, n1, n2])
     }
 
+    /// Builds an engine over `t` with one channel over `members`; `setup`
+    /// attaches agents (and anything else) to the builder.
+    fn built(
+        t: Topology,
+        seed: u64,
+        members: &[NodeId],
+        setup: impl FnOnce(&mut EngineBuilder<Msg>, ChannelId),
+    ) -> (Engine<Msg>, ChannelId) {
+        let mut b = EngineBuilder::new(t, seed);
+        let chan = b.add_channel(members);
+        setup(&mut b, chan);
+        (b.build(), chan)
+    }
+
     #[test]
     fn multicast_reaches_all_members_with_correct_timing() {
         let (t, [n0, n1, n2]) = chain3(0.0);
-        let mut e: Engine<Msg> = Engine::new(t, 1);
-        let chan = e.add_channel(&[n0, n1, n2]);
-        e.set_agent(n0, Box::new(Burst { chan, count: 1 }));
-        e.set_agent(n1, Box::new(Sniffer::default()));
-        e.set_agent(n2, Box::new(Sniffer::default()));
+        let (mut e, _) = built(t, 1, &[n0, n1, n2], |b, chan| {
+            b.add_agent(n0, Box::new(Burst { chan, count: 1 }));
+            b.add_agent(n1, Box::new(Sniffer::default()));
+            b.add_agent(n2, Box::new(Sniffer::default()));
+        });
         e.advance(RunSpec::drain());
         // hop1: tx 10ms + lat 10ms = 20ms; hop2 arrives at 40ms.
         let s1 = e.agent::<Sniffer>(n1).unwrap();
@@ -1135,12 +1097,12 @@ mod tests {
     #[test]
     fn scope_pruning_stops_at_non_members() {
         let (t, [n0, n1, n2]) = chain3(0.0);
-        let mut e: Engine<Msg> = Engine::new(t, 1);
         // n2 is outside the channel: a scoped zone {0, 1}.
-        let chan = e.add_channel(&[n0, n1]);
-        e.set_agent(n0, Box::new(Burst { chan, count: 1 }));
-        e.set_agent(n1, Box::new(Sniffer::default()));
-        e.set_agent(n2, Box::new(Sniffer::default()));
+        let (mut e, _) = built(t, 1, &[n0, n1], |b, chan| {
+            b.add_agent(n0, Box::new(Burst { chan, count: 1 }));
+            b.add_agent(n1, Box::new(Sniffer::default()));
+            b.add_agent(n2, Box::new(Sniffer::default()));
+        });
         e.advance(RunSpec::drain());
         assert_eq!(e.agent::<Sniffer>(n1).unwrap().heard.len(), 1);
         assert!(e.agent::<Sniffer>(n2).unwrap().heard.is_empty());
@@ -1151,10 +1113,10 @@ mod tests {
         // If the middle of the chain is not a member, scoping cuts off the
         // tail even though it is a member (zones must be contiguous).
         let (t, [n0, _n1, n2]) = chain3(0.0);
-        let mut e: Engine<Msg> = Engine::new(t, 1);
-        let chan = e.add_channel(&[n0, n2]);
-        e.set_agent(n0, Box::new(Burst { chan, count: 1 }));
-        e.set_agent(n2, Box::new(Sniffer::default()));
+        let (mut e, _) = built(t, 1, &[n0, n2], |b, chan| {
+            b.add_agent(n0, Box::new(Burst { chan, count: 1 }));
+            b.add_agent(n2, Box::new(Sniffer::default()));
+        });
         e.advance(RunSpec::drain());
         assert!(e.agent::<Sniffer>(n2).unwrap().heard.is_empty());
     }
@@ -1162,10 +1124,10 @@ mod tests {
     #[test]
     fn serialization_queues_back_to_back_packets() {
         let (t, [n0, n1, _]) = chain3(0.0);
-        let mut e: Engine<Msg> = Engine::new(t, 1);
-        let chan = e.add_channel(&[n0, n1]);
-        e.set_agent(n0, Box::new(Burst { chan, count: 3 }));
-        e.set_agent(n1, Box::new(Sniffer::default()));
+        let (mut e, _) = built(t, 1, &[n0, n1], |b, chan| {
+            b.add_agent(n0, Box::new(Burst { chan, count: 3 }));
+            b.add_agent(n1, Box::new(Sniffer::default()));
+        });
         e.advance(RunSpec::drain());
         let times: Vec<SimTime> = e
             .agent::<Sniffer>(n1)
@@ -1188,8 +1150,6 @@ mod tests {
     #[test]
     fn lossy_link_drops_data_but_never_nacks() {
         let (t, [n0, n1, n2]) = chain3(1.0); // middle link always loses
-        let mut e: Engine<Msg> = Engine::new(t, 7);
-        let chan = e.add_channel(&[n0, n1, n2]);
 
         struct Both {
             chan: ChannelId,
@@ -1201,8 +1161,10 @@ mod tests {
             }
             fn on_packet(&mut self, _: &mut Ctx<'_, Msg>, _: &Packet<Msg>) {}
         }
-        e.set_agent(n0, Box::new(Both { chan }));
-        e.set_agent(n2, Box::new(Sniffer::default()));
+        let (mut e, _) = built(t, 7, &[n0, n1, n2], |b, chan| {
+            b.add_agent(n0, Box::new(Both { chan }));
+            b.add_agent(n2, Box::new(Sniffer::default()));
+        });
         e.advance(RunSpec::drain());
         let heard = &e.agent::<Sniffer>(n2).unwrap().heard;
         assert_eq!(heard.len(), 1, "only the NACK should survive");
@@ -1222,11 +1184,11 @@ mod tests {
         b.add_link(n0, n1, LinkParams::infinite(ms(1), 1.0));
         b.add_link(n1, n2, LinkParams::lossless_infinite(ms(1)));
         b.add_link(n1, n3, LinkParams::lossless_infinite(ms(1)));
-        let mut e: Engine<Msg> = Engine::new(b.build(), 3);
-        let chan = e.add_channel(&[n0, n1, n2, n3]);
-        e.set_agent(n0, Box::new(Burst { chan, count: 1 }));
-        e.set_agent(n2, Box::new(Sniffer::default()));
-        e.set_agent(n3, Box::new(Sniffer::default()));
+        let (mut e, _) = built(b.build(), 3, &[n0, n1, n2, n3], |b, chan| {
+            b.add_agent(n0, Box::new(Burst { chan, count: 1 }));
+            b.add_agent(n2, Box::new(Sniffer::default()));
+            b.add_agent(n3, Box::new(Sniffer::default()));
+        });
         e.advance(RunSpec::drain());
         assert!(e.agent::<Sniffer>(n2).unwrap().heard.is_empty());
         assert!(e.agent::<Sniffer>(n3).unwrap().heard.is_empty());
@@ -1251,8 +1213,9 @@ mod tests {
             }
         }
         let (t, [n0, ..]) = chain3(0.0);
-        let mut e: Engine<Msg> = Engine::new(t, 1);
-        e.set_agent(n0, Box::new(Timers { fired: vec![] }));
+        let (mut e, _) = built(t, 1, &[n0], |b, _| {
+            b.add_agent(n0, Box::new(Timers { fired: vec![] }));
+        });
         e.advance(RunSpec::drain());
         assert_eq!(e.agent::<Timers>(n0).unwrap().fired, vec![1, 3]);
     }
@@ -1261,10 +1224,10 @@ mod tests {
     fn run_until_stops_the_clock_and_resumes() {
         let engine = || {
             let (t, [n0, n1, _]) = chain3(0.0);
-            let mut e: Engine<Msg> = Engine::new(t, 1);
-            let chan = e.add_channel(&[n0, n1]);
-            e.set_agent(n0, Box::new(Burst { chan, count: 1 }));
-            e.set_agent(n1, Box::new(Sniffer::default()));
+            let (e, _) = built(t, 1, &[n0, n1], |b, chan| {
+                b.add_agent(n0, Box::new(Burst { chan, count: 1 }));
+                b.add_agent(n1, Box::new(Sniffer::default()));
+            });
             (e, n1)
         };
         let (mut e, n1) = engine();
@@ -1287,10 +1250,10 @@ mod tests {
     fn identical_seeds_replay_identically() {
         let run = |seed: u64| -> Vec<(u64, u32)> {
             let (t, [n0, n1, n2]) = chain3(0.3);
-            let mut e: Engine<Msg> = Engine::new(t, seed);
-            let chan = e.add_channel(&[n0, n1, n2]);
-            e.set_agent(n0, Box::new(Burst { chan, count: 50 }));
-            e.set_agent(n2, Box::new(Sniffer::default()));
+            let (mut e, _) = built(t, seed, &[n0, n1, n2], |b, chan| {
+                b.add_agent(n0, Box::new(Burst { chan, count: 50 }));
+                b.add_agent(n2, Box::new(Sniffer::default()));
+            });
             e.advance(RunSpec::drain());
             e.agent::<Sniffer>(n2)
                 .unwrap()
@@ -1318,9 +1281,9 @@ mod tests {
     #[test]
     fn recorder_sees_transmissions_and_deliveries() {
         let (t, [n0, n1, n2]) = chain3(0.0);
-        let mut e: Engine<Msg> = Engine::new(t, 1);
-        let chan = e.add_channel(&[n0, n1, n2]);
-        e.set_agent(n0, Box::new(Burst { chan, count: 2 }));
+        let (mut e, _) = built(t, 1, &[n0, n1, n2], |b, chan| {
+            b.add_agent(n0, Box::new(Burst { chan, count: 2 }));
+        });
         e.advance(RunSpec::drain());
         assert_eq!(e.recorder().sent_count(n0, TrafficClass::Data), 2);
         // Two deliveries at n1, two at n2 (agents not required to record).
@@ -1332,18 +1295,8 @@ mod tests {
     #[should_panic(expected = "not a member")]
     fn sending_from_non_member_panics() {
         let (t, [n0, n1, n2]) = chain3(0.0);
-        let mut e: Engine<Msg> = Engine::new(t, 1);
-        let chan = e.add_channel(&[n1, n2]);
+        let (mut e, chan) = built(t, 1, &[n1, n2], |_, _| {});
         e.multicast_from(n0, chan, Msg::Nack, 40);
-    }
-
-    #[test]
-    #[should_panic(expected = "already has an agent")]
-    fn double_agent_attachment_panics() {
-        let (t, [n0, ..]) = chain3(0.0);
-        let mut e: Engine<Msg> = Engine::new(t, 1);
-        e.set_agent(n0, Box::new(Sniffer::default()));
-        e.set_agent(n0, Box::new(Sniffer::default()));
     }
 
     struct StartClock {
@@ -1356,8 +1309,6 @@ mod tests {
         fn on_packet(&mut self, _: &mut Ctx<'_, Msg>, _: &Packet<Msg>) {}
     }
 
-    // Ported from the removed `set_recorder_mode`/`set_agent_with_start`
-    // shims: the builder covers both configuration axes they provided.
     #[test]
     fn builder_configures_recorder_mode_and_delayed_start() {
         let (t, [n0, ..]) = chain3(0.0);
@@ -1385,59 +1336,17 @@ mod tests {
         // their packet slots back: nothing may stay interned once the
         // queue is empty.
         let (t, [n0, n1, n2]) = chain3(0.3);
-        let mut e: Engine<Msg> = Engine::new(t, 11);
-        let chan = e.add_channel(&[n0, n1, n2]);
-        let scoped = e.add_channel(&[n0]); // every first hop pruned
-        e.set_agent(n0, Box::new(Burst { chan, count: 40 }));
-        e.set_agent(n2, Box::new(Sniffer::default()));
+        let mut b: EngineBuilder<Msg> = EngineBuilder::new(t, 11);
+        let chan = b.add_channel(&[n0, n1, n2]);
+        let scoped = b.add_channel(&[n0]); // every first hop pruned
+        b.add_agent(n0, Box::new(Burst { chan, count: 40 }));
+        b.add_agent(n2, Box::new(Sniffer::default()));
+        let mut e = b.build();
         e.multicast_from(n0, scoped, Msg::Data(0), 1000);
         assert_eq!(e.packets_in_flight(), 0, "orphan reclaimed immediately");
         e.advance(RunSpec::drain());
         assert!(!e.agent::<Sniffer>(n2).unwrap().heard.is_empty());
         assert_eq!(e.packets_in_flight(), 0);
-    }
-
-    #[test]
-    fn builder_honours_start_times() {
-        let (t, [n0, ..]) = chain3(0.0);
-        let mut b: EngineBuilder<Msg> = EngineBuilder::new(t, 1);
-        b.add_agent_at(
-            n0,
-            Box::new(StartClock {
-                started_at: Vec::new(),
-            }),
-            SimTime::from_secs(1),
-        );
-        let mut e = b.build();
-        e.advance(RunSpec::drain());
-        assert_eq!(
-            e.agent::<StartClock>(n0).unwrap().started_at,
-            vec![SimTime::from_secs(1)]
-        );
-    }
-
-    #[test]
-    fn builder_run_is_bit_identical_to_imperative_setup() {
-        let imperative = || -> Vec<(SimTime, Msg)> {
-            let (t, [n0, _n1, n2]) = chain3(0.3);
-            let mut e: Engine<Msg> = Engine::new(t, 9);
-            let chan = e.add_channel(&[n0, _n1, n2]);
-            e.set_agent(n0, Box::new(Burst { chan, count: 50 }));
-            e.set_agent(n2, Box::new(Sniffer::default()));
-            e.advance(RunSpec::drain());
-            e.agent::<Sniffer>(n2).unwrap().heard.clone()
-        };
-        let built = || -> Vec<(SimTime, Msg)> {
-            let (t, [n0, _n1, n2]) = chain3(0.3);
-            let mut b: EngineBuilder<Msg> = EngineBuilder::new(t, 9);
-            let chan = b.add_channel(&[n0, _n1, n2]);
-            b.add_agent(n0, Box::new(Burst { chan, count: 50 }));
-            b.add_agent(n2, Box::new(Sniffer::default()));
-            let mut e = b.build();
-            e.advance(RunSpec::drain());
-            e.agent::<Sniffer>(n2).unwrap().heard.clone()
-        };
-        assert_eq!(imperative(), built());
     }
 
     #[test]
@@ -1621,10 +1530,10 @@ mod tests {
         // Regression: run() used to leave `now` at SimTime::MAX after the
         // queue drained, so any further scheduling overflowed the clock.
         let (t, [n0, n1, n2]) = chain3(0.0);
-        let mut e: Engine<Msg> = Engine::new(t, 1);
-        let chan = e.add_channel(&[n0, n1, n2]);
-        e.set_agent(n0, Box::new(Burst { chan, count: 1 }));
-        e.set_agent(n2, Box::new(Sniffer::default()));
+        let (mut e, chan) = built(t, 1, &[n0, n1, n2], |b, chan| {
+            b.add_agent(n0, Box::new(Burst { chan, count: 1 }));
+            b.add_agent(n2, Box::new(Sniffer::default()));
+        });
         e.advance(RunSpec::drain());
         // Last event is the delivery at n2: 10ms tx + 10ms latency per hop.
         assert_eq!(e.now(), SimTime::from_millis(40));
@@ -1665,14 +1574,15 @@ mod tests {
             }
         }
         let (t, [n0, ..]) = chain3(0.0);
-        let mut e: Engine<Msg> = Engine::new(t, 1);
-        e.set_agent(
-            n0,
-            Box::new(Churn {
-                last: None,
-                rounds: 1000,
-            }),
-        );
+        let (mut e, _) = built(t, 1, &[n0], |b, _| {
+            b.add_agent(
+                n0,
+                Box::new(Churn {
+                    last: None,
+                    rounds: 1000,
+                }),
+            );
+        });
         e.advance(RunSpec::drain());
         assert_eq!(e.pending_timer_count(), 0);
         assert_eq!(e.cancelled_timer_count(), 0, "cancelled set must not leak");
@@ -1692,10 +1602,16 @@ mod tests {
             }
         }
         let (t, [n0, ..]) = chain3(0.0);
-        let mut e: Engine<Msg> = Engine::new(t, 1);
-        e.set_agent(n0, Box::new(SetAndCancel));
+        let (mut e, _) = built(t, 1, &[n0], |b, _| {
+            b.add_agent(n0, Box::new(SetAndCancel));
+        });
+        assert_eq!(e.pending_timer_count(), 0, "not armed before start");
+        e.advance(RunSpec::to(SimTime::ZERO));
+        // Armed and cancelled at start: the event is still queued.
+        assert_eq!(e.pending_timer_count(), 1);
+        assert_eq!(e.cancelled_timer_count(), 1);
         e.advance(RunSpec::drain());
-        // Once the cancelled deadline is processed, both sets are empty.
+        // Once the cancelled deadline is processed, both counts are zero.
         assert_eq!(e.pending_timer_count(), 0);
         assert_eq!(e.cancelled_timer_count(), 0);
     }
@@ -1771,70 +1687,33 @@ mod tests {
             }
         }
         let (t, [n0, n1, n2]) = chain3(0.0);
-        let mut e: Engine<Msg> = Engine::new(t, 1);
-        e.set_agent(n0, Box::new(Sized(100)));
-        e.set_agent(n2, Box::new(Sized(23)));
+        let (e, _) = built(t, 1, &[], |b, _| {
+            b.add_agent(n0, Box::new(Sized(100)));
+            b.add_agent(n2, Box::new(Sized(23)));
+        });
         assert_eq!(e.state_bytes(), 123);
         assert_eq!(e.agent_state_bytes(n0), 100);
         assert_eq!(e.agent_state_bytes(n1), 0, "agent-less node reports zero");
         // Sniffer has no state_bytes impl: the default reports zero.
-        e.set_agent(n1, Box::new(Sniffer::default()));
+        let (e, _) = built(chain3(0.0).0, 1, &[], |b, _| {
+            b.add_agent(n0, Box::new(Sized(100)));
+            b.add_agent(n1, Box::new(Sniffer::default()));
+            b.add_agent(n2, Box::new(Sized(23)));
+        });
         assert_eq!(e.state_bytes(), 123);
     }
 
-    #[test]
-    fn recorder_clear_midrun_keeps_tail_bit_identical() {
-        // Regression: clearing the recorder between measurement windows
-        // must not perturb the simulation itself — the events recorded
-        // after the clear are exactly the post-clear tail of an identical
-        // uninterrupted run.
-        fn tail<T: Clone>(v: &[T], mid: SimTime, time: impl Fn(&T) -> SimTime) -> Vec<T> {
-            v.iter().filter(|r| time(r) > mid).cloned().collect()
-        }
-        let build = || {
-            let (t, [n0, n1, n2]) = chain3(0.2);
-            let mut b: EngineBuilder<Msg> = EngineBuilder::new(t, 9);
-            let chan = b.add_channel(&[n0, n1, n2]);
-            b.add_agent(n0, Box::new(Burst { chan, count: 20 }));
-            b.add_agent(n1, Box::new(Sniffer::default()));
-            b.add_agent(n2, Box::new(Sniffer::default()));
-            b.build()
-        };
-        let mut full = build();
-        full.advance(RunSpec::drain());
-        // 105ms falls between events (everything lands on 10ms ticks).
-        let mid = SimTime::from_millis(105);
-
-        let mut halved = build();
-        halved.advance(RunSpec::to(mid));
-        halved.recorder_mut().clear();
-        halved.advance(RunSpec::drain());
-
-        let f = full.recorder();
-        let h = halved.recorder();
-        assert!(!h.deliveries.is_empty() && !h.drops.is_empty());
-        assert_eq!(h.deliveries, tail(&f.deliveries, mid, |r| r.time));
-        assert_eq!(h.transmissions, tail(&f.transmissions, mid, |r| r.time));
-        assert_eq!(h.drops, tail(&f.drops, mid, |r| r.time));
-        // O(1) totals match the event tail, not the whole run.
-        assert_eq!(
-            h.total_delivered(TrafficClass::Data),
-            tail(&f.deliveries, mid, |r| r.time).len()
-        );
-    }
-
-    /// Ported pin from the PR 9 deprecation shims (`run_until`/`run`, now
-    /// removed): a horizon-then-drain `advance` pair must be bit-identical
-    /// to one uninterrupted drain.
+    /// A horizon-then-drain `advance` pair must be bit-identical to one
+    /// uninterrupted drain.
     #[test]
     fn split_advance_matches_single_drain() {
         let build = || {
             let (t, [n0, n1, n2]) = chain3(0.3);
-            let mut e: Engine<Msg> = Engine::new(t, 11);
-            let chan = e.add_channel(&[n0, n1, n2]);
-            e.set_agent(n0, Box::new(Burst { chan, count: 8 }));
-            e.set_agent(n2, Box::new(Sniffer::default()));
-            e
+            built(t, 11, &[n0, n1, n2], |b, chan| {
+                b.add_agent(n0, Box::new(Burst { chan, count: 8 }));
+                b.add_agent(n2, Box::new(Sniffer::default()));
+            })
+            .0
         };
         let mid = SimTime::from_millis(25);
 
@@ -1875,10 +1754,10 @@ mod tests {
             fn on_packet(&mut self, _: &mut Ctx<'_, Msg>, _: &Packet<Msg>) {}
         }
         let (t, [n0, n1, n2]) = chain3(0.0);
-        let mut e: Engine<Msg> = Engine::new(t, 5);
-        let chan = e.add_channel(&[n0, n1, n2]);
-        e.set_agent(n0, Box::new(Ticker { chan, left: 5 }));
-        e.set_agent(n2, Box::new(Sniffer::default()));
+        let (mut e, chan) = built(t, 5, &[n0, n1, n2], |b, chan| {
+            b.add_agent(n0, Box::new(Ticker { chan, left: 5 }));
+            b.add_agent(n2, Box::new(Sniffer::default()));
+        });
         // Sends at 10/20/30/40/50 ms; the n1→n2 hop happens ~11 ms after
         // each send, so hops at ~21 and ~31 ms fall inside the gap.
         e.schedule_membership(

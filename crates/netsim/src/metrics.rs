@@ -11,9 +11,10 @@
 //! * **Raw** (the default) keeps every event in the public vectors, so
 //!   post-hoc tooling (timelines, custom filters) can see everything.
 //! * **Streaming** aggregates at record time into per-(node, class)
-//!   totals and fixed-width time bins, keeping memory `O(nodes × bins)`
-//!   regardless of traffic volume — the mode the parallel sweep runner
-//!   uses, where dozens of engines are alive at once.
+//!   totals and fixed 0.1 s time bins (the paper's granularity), keeping
+//!   memory `O(nodes × bins)` regardless of traffic volume — the mode the
+//!   parallel sweep runner uses, where dozens of engines are alive at
+//!   once.
 //! * **Aggregate** keeps only session-global per-class totals and bins,
 //!   `O(bins)` regardless of node count — the mode the 10⁵–10⁶-receiver
 //!   scaling sweeps use.
@@ -27,6 +28,10 @@ use crate::channel::ChannelId;
 use crate::graph::NodeId;
 use crate::queue::EventKey;
 use crate::time::{SimDuration, SimTime};
+
+/// Width of every time bin the recorder keeps: the paper's measurement
+/// granularity (§6.2), 0.1 s.
+const BIN_WIDTH: SimDuration = SimDuration::from_millis(100);
 
 /// Coarse protocol-independent classification of a packet.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -157,10 +162,11 @@ impl Tally {
 }
 
 /// Per-record [`EventKey`] tags, kept only by per-shard recorders in
-/// [`RecorderMode::Raw`].  Each raw vector gets a parallel tag vector
-/// stamping which engine event produced the record, so shard outputs can
-/// be k-way merged back into the exact serial timeline regardless of
-/// shard completion order (see `shard.rs`).
+/// [`RecorderMode::Raw`] (see [`Recorder::for_shard`]).  Each raw vector
+/// gets a parallel tag vector stamping which engine event produced the
+/// record, so shard outputs can be k-way merged back into the exact
+/// serial timeline regardless of shard completion order (see
+/// `shard.rs`).
 #[derive(Debug, Default)]
 struct RecorderTags {
     current: EventKey,
@@ -190,7 +196,6 @@ pub struct Recorder {
     /// Every loss event (raw mode only).
     pub drops: Vec<DropRecord>,
     mode: RecorderMode,
-    bin_width: SimDuration,
     nodes: Vec<NodeStats>,
     delivered_total: [Tally; CLASS_COUNT],
     sent_total: [Tally; CLASS_COUNT],
@@ -199,7 +204,7 @@ pub struct Recorder {
     delivered_bins_total: [Vec<Tally>; CLASS_COUNT],
     sent_bins_total: [Vec<Tally>; CLASS_COUNT],
     /// Event-key tags parallel to the raw vectors; `Some` only on
-    /// per-shard recorders (see [`Recorder::enable_tagging`]).
+    /// raw-mode per-shard recorders (see [`Recorder::for_shard`]).
     tags: Option<Box<RecorderTags>>,
 }
 
@@ -210,8 +215,6 @@ impl Default for Recorder {
             transmissions: Vec::new(),
             drops: Vec::new(),
             mode: RecorderMode::default(),
-            // The paper's measurement granularity (§6.2): 0.1 s bins.
-            bin_width: SimDuration::from_millis(100),
             nodes: Vec::new(),
             delivered_total: [Tally::default(); CLASS_COUNT],
             sent_total: [Tally::default(); CLASS_COUNT],
@@ -237,50 +240,21 @@ impl Recorder {
         self.mode
     }
 
-    /// Switches storage mode.
-    ///
-    /// # Panics
-    ///
-    /// Panics if events have already been recorded — the two modes store
-    /// different things, so a mid-run switch would silently mix them.
-    pub fn set_mode(&mut self, mode: RecorderMode) {
-        assert!(
-            self.is_empty(),
-            "recorder mode must be chosen before any event is recorded \
-             (call clear() first to restart)"
-        );
-        self.mode = mode;
-    }
-
-    /// Streaming-mode bin width (defaults to the paper's 0.1 s).
+    /// Width of the streaming- and aggregate-mode time bins: the paper's
+    /// fixed 0.1 s.
     pub fn bin_width(&self) -> SimDuration {
-        self.bin_width
+        BIN_WIDTH
     }
 
-    /// Sets the streaming-mode bin width.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a zero width, or if events have already been recorded.
-    pub fn set_bin_width(&mut self, width: SimDuration) {
-        assert!(width > SimDuration::ZERO, "bin width must be positive");
-        assert!(
-            self.is_empty(),
-            "bin width must be chosen before any event is recorded"
-        );
-        self.bin_width = width;
-    }
-
-    /// Starts stamping every raw record with the [`EventKey`] set by
-    /// [`Recorder::set_tag`].  Only meaningful in [`RecorderMode::Raw`];
-    /// the sharded driver enables this on per-shard recorders so
-    /// [`Recorder::merge_raw_parts`] can reconstruct the serial timeline.
-    pub(crate) fn enable_tagging(&mut self) {
-        assert!(
-            self.is_empty(),
-            "tagging must be enabled before any event is recorded"
-        );
-        self.tags = Some(Box::default());
+    /// A per-shard recorder in `mode`.  In [`RecorderMode::Raw`] it
+    /// stamps every record with the [`EventKey`] set by
+    /// [`Recorder::set_tag`], so [`Recorder::merge_raw_parts`] can
+    /// reconstruct the serial timeline from the shards' parts.
+    pub(crate) fn for_shard(mode: RecorderMode) -> Recorder {
+        Recorder {
+            tags: (mode == RecorderMode::Raw).then(Box::default),
+            ..Recorder::new(mode)
+        }
     }
 
     /// Sets the event key stamped onto subsequently recorded raw events.
@@ -292,16 +266,6 @@ impl Recorder {
         }
     }
 
-    fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-            && self.deliveries.is_empty()
-            && self.transmissions.is_empty()
-            && self.drops.is_empty()
-            && self.drop_total.iter().all(|&c| c == 0)
-            && self.delivered_total.iter().all(|t| t.packets == 0)
-            && self.sent_total.iter().all(|t| t.packets == 0)
-    }
-
     fn node_mut(&mut self, node: NodeId) -> &mut NodeStats {
         if self.nodes.len() <= node.idx() {
             self.nodes.resize_with(node.idx() + 1, NodeStats::default);
@@ -310,7 +274,7 @@ impl Recorder {
     }
 
     fn bin_index(&self, t: SimTime) -> usize {
-        (t.as_nanos() / self.bin_width.as_nanos()) as usize
+        (t.as_nanos() / BIN_WIDTH.as_nanos()) as usize
     }
 
     /// Records one delivery observation.
@@ -384,25 +348,6 @@ impl Recorder {
             }
             self.drops.push(d);
         }
-    }
-
-    /// Empties all recorded events and aggregates (e.g. to discard a
-    /// warm-up phase); mode and bin width are kept.
-    pub fn clear(&mut self) {
-        self.deliveries.clear();
-        self.transmissions.clear();
-        self.drops.clear();
-        if let Some(tags) = &mut self.tags {
-            tags.deliveries.clear();
-            tags.transmissions.clear();
-            tags.drops.clear();
-        }
-        self.nodes.clear();
-        self.delivered_total = [Tally::default(); CLASS_COUNT];
-        self.sent_total = [Tally::default(); CLASS_COUNT];
-        self.drop_total = [0; CLASS_COUNT];
-        self.delivered_bins_total = Default::default();
-        self.sent_bins_total = Default::default();
     }
 
     /// Counts deliveries at `node` with the given class.  O(1).
@@ -507,7 +452,6 @@ impl Recorder {
     /// node-disjoint across shards, so ordering cannot matter.
     pub(crate) fn absorb_totals(&mut self, other: &Recorder) {
         debug_assert_eq!(self.mode, other.mode, "shard recorders share one mode");
-        debug_assert_eq!(self.bin_width, other.bin_width);
         for c in 0..CLASS_COUNT {
             self.delivered_total[c].absorb(other.delivered_total[c]);
             self.sent_total[c].absorb(other.sent_total[c]);
@@ -648,11 +592,6 @@ mod tests {
         // Raw mode keeps the events themselves.
         assert_eq!(r.deliveries.len(), 4);
         assert_eq!(r.transmissions.len(), 1);
-
-        r.clear();
-        assert!(r.deliveries.is_empty() && r.transmissions.is_empty() && r.drops.is_empty());
-        assert_eq!(r.delivered_count(NodeId(1), TrafficClass::Data), 0);
-        assert_eq!(r.total_delivered(TrafficClass::Data), 0);
     }
 
     #[test]
@@ -712,33 +651,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "before any event")]
-    fn mode_switch_after_recording_is_rejected() {
-        let mut r = Recorder::default();
-        r.record_delivery(rec(1, TrafficClass::Data));
-        r.set_mode(RecorderMode::Streaming);
-    }
-
-    #[test]
-    fn mode_switch_allowed_after_clear() {
-        let mut r = Recorder::default();
-        r.record_delivery(rec(1, TrafficClass::Data));
-        r.clear();
-        r.set_mode(RecorderMode::Streaming);
-        assert_eq!(r.mode(), RecorderMode::Streaming);
-    }
-
-    #[test]
-    fn custom_bin_width_is_respected() {
-        let mut r = Recorder::new(RecorderMode::Streaming);
-        r.set_bin_width(SimDuration::from_secs(1));
-        r.record_delivery(rec_at(2500, 1, TrafficClass::Data));
-        let bins = r.delivered_bins(NodeId(1), TrafficClass::Data);
-        assert_eq!(bins.len(), 3);
-        assert_eq!(bins[2].packets, 1);
-    }
-
-    #[test]
     fn aggregate_mode_keeps_global_bins_and_no_per_node_state() {
         let mut r = Recorder::new(RecorderMode::Aggregate);
         r.record_delivery(rec_at(10, 1, TrafficClass::Data));
@@ -762,10 +674,6 @@ mod tests {
         assert_eq!(sess.len(), 4);
         assert_eq!(sess[3].packets, 1);
         assert_eq!(r.total_sent_bins(TrafficClass::Nack)[1].packets, 1);
-
-        r.clear();
-        assert_eq!(r.total_delivered(TrafficClass::Data), 0);
-        assert!(r.total_delivered_bins(TrafficClass::Data).is_empty());
     }
 
     #[test]
@@ -812,12 +720,10 @@ mod tests {
         serial.record_delivery(rec_at(20, 3, TrafficClass::Data));
 
         let build_parts = || {
-            let mut a = Recorder::default();
-            a.enable_tagging();
+            let mut a = Recorder::for_shard(RecorderMode::Raw);
             a.set_tag(key(10, 1, 0));
             a.record_delivery(rec_at(10, 1, TrafficClass::Data));
-            let mut b = Recorder::default();
-            b.enable_tagging();
+            let mut b = Recorder::for_shard(RecorderMode::Raw);
             b.set_tag(key(15, 2, 0));
             b.record_transmission(rec_at(15, 2, TrafficClass::Repair));
             b.set_tag(key(20, 2, 1));
@@ -847,8 +753,7 @@ mod tests {
     fn merge_raw_parts_keeps_same_event_records_in_shard_order() {
         // One event emits two transmissions; they share a tag and must
         // stay in emission order after the stable merge.
-        let mut part = Recorder::default();
-        part.enable_tagging();
+        let mut part = Recorder::for_shard(RecorderMode::Raw);
         part.set_tag(key(5, 3, 7));
         part.record_transmission(rec_at(5, 3, TrafficClass::Data));
         part.record_transmission(rec_at(5, 3, TrafficClass::Repair));

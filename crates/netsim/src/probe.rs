@@ -763,11 +763,6 @@ impl ProbeSink {
         }
     }
 
-    /// Turns on record keeping.
-    pub fn set_recording(&mut self, on: bool) {
-        self.keep = on;
-    }
-
     /// Attaches an auditor (replacing any previous one).
     pub fn set_auditor(&mut self, auditor: Auditor) {
         self.auditor = Some(auditor);

@@ -12,20 +12,14 @@
 //!   scheduling touches no allocator at all once the simulation's
 //!   high-water mark is reached.
 //!
-//! Ordering is the lexicographic minimum of an [`EventKey`] — `(time,
-//! push_time, origin, oseq)`.  The legacy [`EventQueue::push`] entry point
-//! assigns keys from a monotone per-queue counter, which reproduces the
-//! old global-FIFO tie-break exactly: events at the same timestamp pop in
-//! insertion order.  A property test in `tests/proptests.rs` pins that
-//! equivalence against a `BinaryHeap` model over random push/pop
-//! interleavings.
-//!
-//! The richer keyed entry points ([`EventQueue::push_keyed`],
-//! [`EventQueue::pop_keyed`]) exist for the sharded engine: a key that is
-//! a pure function of *which node pushed the event and when* (rather than
-//! a global push counter) totally orders events the same way no matter
-//! which shard queue they pass through, so per-shard runs merge
-//! bit-identically into the serial schedule (see `shard.rs`).
+//! Every event is pushed under an explicit [`EventKey`] and popped in
+//! ascending key order.  The key is a pure function of *which node
+//! pushed the event and when* (rather than a global push counter), so
+//! events are totally ordered the same way no matter which shard queue
+//! they pass through, and per-shard runs merge bit-identically into the
+//! serial schedule (see `shard.rs`).  A property test in
+//! `tests/proptests.rs` pins the ordering against a `BinaryHeap` model
+//! over random push/pop interleavings.
 
 use crate::time::SimTime;
 
@@ -63,15 +57,8 @@ struct Key {
     slot: u32,
 }
 
-impl Key {
-    #[inline]
-    fn rank(&self) -> EventKey {
-        self.key
-    }
-}
-
-/// A min-ordered event queue: `pop` yields events in ascending `(time,
-/// insertion sequence)` order.
+/// A min-ordered event queue: `pop` yields events in ascending
+/// [`EventKey`] order.
 ///
 /// `T` is the event payload; it is stored once in the slab and moved out
 /// exactly once on pop — the heap itself only ever copies small keys.
@@ -80,7 +67,6 @@ pub struct EventQueue<T> {
     heap: Vec<Key>,
     slots: Vec<Option<T>>,
     free: Vec<u32>,
-    seq: u64,
 }
 
 impl<T> Default for EventQueue<T> {
@@ -96,7 +82,6 @@ impl<T> EventQueue<T> {
             heap: Vec::new(),
             slots: Vec::new(),
             free: Vec::new(),
-            seq: 0,
         }
     }
 
@@ -110,34 +95,10 @@ impl<T> EventQueue<T> {
         self.heap.is_empty()
     }
 
-    /// High-water mark of the slab (diagnostics): slots ever allocated,
-    /// including currently free ones.
-    pub fn slot_capacity(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Schedules `item` at `time` and returns its insertion sequence
-    /// number.  Events pushed at the same `time` pop in push order (the
-    /// key is derived from a per-queue monotone counter).
-    pub fn push(&mut self, time: SimTime, item: T) -> u64 {
-        let seq = self.seq;
-        self.seq += 1;
-        self.push_keyed(
-            EventKey {
-                time,
-                push_time: SimTime::ZERO,
-                origin: 0,
-                oseq: seq,
-            },
-            item,
-        );
-        seq
-    }
-
     /// Schedules `item` under an explicit ordering key.  Keys must be
     /// unique per queue lifetime (the engine guarantees this via per-origin
     /// sequence numbers).
-    pub fn push_keyed(&mut self, key: EventKey, item: T) {
+    pub fn push(&mut self, key: EventKey, item: T) {
         let slot = match self.free.pop() {
             Some(s) => {
                 debug_assert!(self.slots[s as usize].is_none());
@@ -154,23 +115,13 @@ impl<T> EventQueue<T> {
         self.sift_up(self.heap.len() - 1);
     }
 
-    /// Timestamp of the earliest event, if any.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.first().map(|k| k.key.time)
-    }
-
     /// Full ordering key of the earliest event, if any.
     pub fn peek_key(&self) -> Option<EventKey> {
         self.heap.first().map(|k| k.key)
     }
 
-    /// Removes and returns the earliest event as `(time, payload)`.
-    pub fn pop(&mut self) -> Option<(SimTime, T)> {
-        self.pop_keyed().map(|(k, item)| (k.time, item))
-    }
-
     /// Removes and returns the earliest event with its full key.
-    pub fn pop_keyed(&mut self) -> Option<(EventKey, T)> {
+    pub fn pop(&mut self) -> Option<(EventKey, T)> {
         let top = *self.heap.first()?;
         let last = self.heap.pop().expect("non-empty");
         if !self.heap.is_empty() {
@@ -187,7 +138,7 @@ impl<T> EventQueue<T> {
     fn sift_up(&mut self, mut i: usize) {
         while i > 0 {
             let parent = (i - 1) / 2;
-            if self.heap[i].rank() < self.heap[parent].rank() {
+            if self.heap[i].key < self.heap[parent].key {
                 self.heap.swap(i, parent);
                 i = parent;
             } else {
@@ -204,12 +155,12 @@ impl<T> EventQueue<T> {
                 break;
             }
             let right = left + 1;
-            let smallest_child = if right < n && self.heap[right].rank() < self.heap[left].rank() {
+            let smallest_child = if right < n && self.heap[right].key < self.heap[left].key {
                 right
             } else {
                 left
             };
-            if self.heap[smallest_child].rank() < self.heap[i].rank() {
+            if self.heap[smallest_child].key < self.heap[i].key {
                 self.heap.swap(i, smallest_child);
                 i = smallest_child;
             } else {
@@ -223,48 +174,59 @@ impl<T> EventQueue<T> {
 mod tests {
     use super::*;
 
-    fn t(ms: u64) -> SimTime {
-        SimTime::from_millis(ms)
+    /// The key a plain `(time, n)` push gets: same push time and origin,
+    /// so `n` alone breaks ties and same-time events pop FIFO.
+    fn at(ms: u64, n: u64) -> EventKey {
+        EventKey {
+            time: SimTime::from_millis(ms),
+            push_time: SimTime::ZERO,
+            origin: 0,
+            oseq: n,
+        }
+    }
+
+    fn pop_item<T>(q: &mut EventQueue<T>) -> Option<T> {
+        q.pop().map(|(_, item)| item)
     }
 
     #[test]
     fn pops_in_time_order() {
         let mut q = EventQueue::new();
-        q.push(t(30), "c");
-        q.push(t(10), "a");
-        q.push(t(20), "b");
-        assert_eq!(q.peek_time(), Some(t(10)));
-        assert_eq!(q.pop(), Some((t(10), "a")));
-        assert_eq!(q.pop(), Some((t(20), "b")));
-        assert_eq!(q.pop(), Some((t(30), "c")));
+        q.push(at(30, 0), "c");
+        q.push(at(10, 1), "a");
+        q.push(at(20, 2), "b");
+        assert_eq!(q.peek_key(), Some(at(10, 1)));
+        assert_eq!(q.pop(), Some((at(10, 1), "a")));
+        assert_eq!(pop_item(&mut q), Some("b"));
+        assert_eq!(pop_item(&mut q), Some("c"));
         assert_eq!(q.pop(), None);
-        assert_eq!(q.peek_time(), None);
+        assert_eq!(q.peek_key(), None);
     }
 
     #[test]
     fn same_time_pops_fifo() {
         let mut q = EventQueue::new();
-        for i in 0..100u32 {
-            q.push(t(5), i);
+        for i in 0..100u64 {
+            q.push(at(5, i), i);
         }
-        for i in 0..100u32 {
-            assert_eq!(q.pop(), Some((t(5), i)));
+        for i in 0..100u64 {
+            assert_eq!(pop_item(&mut q), Some(i));
         }
     }
 
     #[test]
     fn interleaved_push_pop_keeps_fifo_within_time() {
         let mut q = EventQueue::new();
-        q.push(t(1), 0u32);
-        q.push(t(2), 1);
-        assert_eq!(q.pop(), Some((t(1), 0)));
+        q.push(at(1, 0), 0u32);
+        q.push(at(2, 1), 1);
+        assert_eq!(pop_item(&mut q), Some(0));
         // Pushed after a pop, still at the already-seen time 2: must come
         // after the earlier time-2 event.
-        q.push(t(2), 2);
-        q.push(t(2), 3);
-        assert_eq!(q.pop(), Some((t(2), 1)));
-        assert_eq!(q.pop(), Some((t(2), 2)));
-        assert_eq!(q.pop(), Some((t(2), 3)));
+        q.push(at(2, 2), 2);
+        q.push(at(2, 3), 3);
+        assert_eq!(pop_item(&mut q), Some(1));
+        assert_eq!(pop_item(&mut q), Some(2));
+        assert_eq!(pop_item(&mut q), Some(3));
     }
 
     #[test]
@@ -272,58 +234,39 @@ mod tests {
         let mut q = EventQueue::new();
         for round in 0..50u64 {
             for i in 0..8u64 {
-                q.push(t(round * 10 + i), i);
+                q.push(at(round * 10 + i, round * 8 + i), i);
             }
             for _ in 0..8 {
                 q.pop().unwrap();
             }
         }
         // 400 events flowed through, but never more than 8 at once.
-        assert_eq!(q.slot_capacity(), 8);
+        assert_eq!(q.slots.len(), 8);
         assert!(q.is_empty());
         assert_eq!(q.len(), 0);
     }
 
     #[test]
-    fn keyed_pushes_order_by_full_key_not_insertion() {
+    fn pushes_order_by_full_key_not_insertion() {
         let key = |time_ms: u64, push_ms: u64, origin: u32, oseq: u64| EventKey {
-            time: t(time_ms),
-            push_time: t(push_ms),
+            time: SimTime::from_millis(time_ms),
+            push_time: SimTime::from_millis(push_ms),
             origin,
             oseq,
         };
         let mut q = EventQueue::new();
         // Same fire time, inserted out of key order: pops sort by
         // (push_time, origin, oseq), not insertion order.
-        q.push_keyed(key(5, 2, 3, 0), "late-push");
-        q.push_keyed(key(5, 1, 7, 9), "early-push");
-        q.push_keyed(key(5, 2, 1, 4), "low-origin");
-        q.push_keyed(key(4, 3, 9, 9), "earlier-time");
+        q.push(key(5, 2, 3, 0), "late-push");
+        q.push(key(5, 1, 7, 9), "early-push");
+        q.push(key(5, 2, 1, 4), "low-origin");
+        q.push(key(4, 3, 9, 9), "earlier-time");
         assert_eq!(q.peek_key(), Some(key(4, 3, 9, 9)));
-        let order: Vec<&str> = std::iter::from_fn(|| q.pop_keyed().map(|(_, v)| v)).collect();
+        let order: Vec<&str> = std::iter::from_fn(|| pop_item(&mut q)).collect();
         assert_eq!(
             order,
             vec!["earlier-time", "early-push", "low-origin", "late-push"]
         );
-    }
-
-    #[test]
-    fn legacy_and_keyed_pushes_share_one_heap() {
-        let mut q = EventQueue::new();
-        q.push(t(10), 1u32);
-        q.push_keyed(
-            EventKey {
-                time: t(10),
-                push_time: t(2),
-                origin: 4,
-                oseq: 0,
-            },
-            2,
-        );
-        // Legacy keys carry push_time ZERO, so they sort ahead of any
-        // runtime-keyed event at the same fire time.
-        assert_eq!(q.pop(), Some((t(10), 1)));
-        assert_eq!(q.pop(), Some((t(10), 2)));
     }
 
     #[test]
@@ -332,8 +275,8 @@ mod tests {
         // moves values, never duplicates them.
         struct NoClone(#[allow(dead_code)] u64);
         let mut q = EventQueue::new();
-        q.push(t(1), NoClone(7));
-        let (_, v) = q.pop().unwrap();
+        q.push(at(1, 0), NoClone(7));
+        let v = pop_item(&mut q).unwrap();
         assert_eq!(v.0, 7);
     }
 }

@@ -712,7 +712,7 @@ mod tests {
     fn engines_run_inside_cells() {
         // The whole point: Engine is not Send, but each cell builds its
         // own, so sweeps parallelize anyway.
-        use crate::engine::Engine;
+        use crate::engine::EngineBuilder;
         use crate::graph::{LinkParams, TopologyBuilder};
         use crate::packet::Classify;
         use crate::shard::RunSpec;
@@ -736,8 +736,9 @@ mod tests {
                 n1,
                 LinkParams::new(SimDuration::from_millis(1), 800_000, 0.5),
             );
-            let mut e: Engine<P> = Engine::new(b.build(), c.seed);
-            let chan = e.add_channel(&[n0, n1]);
+            let mut builder: EngineBuilder<P> = EngineBuilder::new(b.build(), c.seed);
+            let chan = builder.add_channel(&[n0, n1]);
+            let mut e = builder.build();
             for _ in 0..64 {
                 e.multicast_from(n0, chan, P, 100);
             }
@@ -757,8 +758,9 @@ mod tests {
                 n1,
                 LinkParams::new(SimDuration::from_millis(1), 800_000, 0.5),
             );
-            let mut e: Engine<P> = Engine::new(b.build(), c.seed);
-            let chan = e.add_channel(&[n0, n1]);
+            let mut builder: EngineBuilder<P> = EngineBuilder::new(b.build(), c.seed);
+            let chan = builder.add_channel(&[n0, n1]);
+            let mut e = builder.build();
             for _ in 0..64 {
                 e.multicast_from(n0, chan, P, 100);
             }

@@ -166,16 +166,14 @@ impl ShardPlan {
 }
 
 /// Everything one [`Engine::advance`] call needs: horizon, shard plan,
-/// and worker-thread count.  Unset fields fall back to the builder
-/// defaults ([`crate::engine::EngineBuilder::shard_plan`] /
-/// [`crate::engine::EngineBuilder::threads`]), then to serial execution.
+/// and worker-thread count.  The only place a run's plan and thread count
+/// are set; unset fields mean serial execution and one thread per shard.
 #[derive(Clone, Debug, Default)]
 pub struct RunSpec {
     /// Process events up to and including this instant; `None` drains the
     /// queue completely.
     pub until: Option<SimTime>,
-    /// Shard plan for this run; `None` uses the builder default (serial
-    /// if none was set).
+    /// Shard plan for this run; `None` runs serially.
     pub plan: Option<Arc<ShardPlan>>,
     /// Worker threads for a sharded run; `None` means one per shard.
     pub threads: Option<usize>,
@@ -197,13 +195,13 @@ impl RunSpec {
         RunSpec::default()
     }
 
-    /// Overrides the shard plan for this run.
+    /// Sets the shard plan for this run.
     pub fn with_plan(mut self, plan: Arc<ShardPlan>) -> RunSpec {
         self.plan = Some(plan);
         self
     }
 
-    /// Overrides the worker-thread count for this run.
+    /// Sets the worker-thread count for this run.
     pub fn with_threads(mut self, threads: usize) -> RunSpec {
         self.threads = Some(threads);
         self
@@ -264,16 +262,14 @@ impl<M: Classify + Clone + Send + 'static> Engine<M> {
     /// topology, or if some inter-shard link has zero latency (no
     /// lookahead — conservative synchronization would be impossible).
     pub fn advance(&mut self, spec: RunSpec) -> u64 {
-        let plan = spec.plan.or_else(|| self.default_plan.clone());
-        let threads = spec.threads.or(self.default_threads);
-        match plan {
+        match spec.plan {
             Some(p) if p.shard_count() > 1 => {
                 assert_eq!(
                     p.node_count(),
                     self.topo.node_count(),
                     "shard plan covers a different topology"
                 );
-                self.run_sharded(p, threads, spec.until)
+                self.run_sharded(p, spec.threads, spec.until)
             }
             _ => {
                 let (processed, _) = self.run_window(spec.until.unwrap_or(SimTime::MAX));
@@ -415,51 +411,42 @@ impl<M: Classify + Clone + Send + 'static> Engine<M> {
         processed.load(Ordering::Relaxed) - dup
     }
 
-    /// Splits this engine into `k` per-shard engines: agents, timers, and
-    /// queued events move to their owning shard; replicated state (link
-    /// masks, epochs, RNG stream states, counters) is cloned everywhere
-    /// so fault replay keeps every copy identical.
+    /// Splits this engine into `k` per-shard engines: agents and queued
+    /// events (with their timer liveness) move to their owning shard;
+    /// replicated state (link masks, epochs, RNG stream states, counters)
+    /// is cloned everywhere so fault replay keeps every copy identical.
     fn split_shards(&mut self, plan: &Arc<ShardPlan>) -> Vec<Engine<M>> {
         let k = plan.shard_count();
         let n = self.topo.node_count();
         let mut shards: Vec<Engine<M>> = (0..k as u32)
-            .map(|me| {
-                let mut recorder = Recorder::new(self.recorder.mode());
-                recorder.set_bin_width(self.recorder.bin_width());
-                if recorder.mode() == RecorderMode::Raw {
-                    recorder.enable_tagging();
-                }
-                Engine {
-                    topo: self.topo.clone(),
-                    oracle: self.oracle.clone(),
-                    spts: Vec::new(),
-                    tree_forwarding: self.tree_forwarding,
-                    link_state: self.link_state.clone(),
-                    link_up: self.link_up.clone(),
-                    node_up: self.node_up.clone(),
-                    epoch: self.epoch.clone(),
-                    channels: self.channels.clone(),
-                    agents: (0..n).map(|_| None).collect(),
-                    agent_rngs: self.agent_rngs.clone(),
-                    loss_base: self.loss_base.clone(),
-                    loss_streams: self.loss_streams.clone(),
-                    queue: EventQueue::new(),
-                    arena: PacketArena::new(),
-                    now: self.now,
-                    pending_timers: HashSet::new(),
-                    cancelled: HashSet::new(),
-                    node_seq: self.node_seq.clone(),
-                    build_seq: self.build_seq,
-                    recorder,
-                    probes: self.probes.shard_sink(),
-                    shard: Some(ShardCtx {
-                        plan: Arc::clone(plan),
-                        me,
-                    }),
-                    outbox: Vec::new(),
-                    default_plan: None,
-                    default_threads: None,
-                }
+            .map(|me| Engine {
+                topo: self.topo.clone(),
+                oracle: self.oracle.clone(),
+                spts: Vec::new(),
+                tree_forwarding: self.tree_forwarding,
+                link_state: self.link_state.clone(),
+                link_up: self.link_up.clone(),
+                node_up: self.node_up.clone(),
+                epoch: self.epoch.clone(),
+                channels: self.channels.clone(),
+                agents: (0..n).map(|_| None).collect(),
+                agent_rngs: self.agent_rngs.clone(),
+                loss_base: self.loss_base.clone(),
+                loss_streams: self.loss_streams.clone(),
+                queue: EventQueue::new(),
+                arena: PacketArena::new(),
+                now: self.now,
+                live_timers: HashSet::new(),
+                cancelled_timers: 0,
+                node_seq: self.node_seq.clone(),
+                build_seq: self.build_seq,
+                recorder: Recorder::for_shard(self.recorder.mode()),
+                probes: self.probes.shard_sink(),
+                shard: Some(ShardCtx {
+                    plan: Arc::clone(plan),
+                    me,
+                }),
+                outbox: Vec::new(),
             })
             .collect();
         for i in 0..n {
@@ -467,65 +454,62 @@ impl<M: Classify + Clone + Send + 'static> Engine<M> {
                 shards[plan.owner[i] as usize].agents[i] = Some(a);
             }
         }
-        // Timer bookkeeping partitions by the id's encoded owner node.
-        for id in self.pending_timers.drain() {
-            let node = id
-                .node()
-                .expect("engine-issued timer ids encode their node");
-            shards[plan.owner(node) as usize].pending_timers.insert(id);
-        }
-        for id in self.cancelled.drain() {
-            let node = id
-                .node()
-                .expect("engine-issued timer ids encode their node");
-            shards[plan.owner(node) as usize].cancelled.insert(id);
-        }
         // Distribute queued events under their existing keys; faults and
         // membership changes replicate to every shard so replicated state
         // (link masks, epochs, channel member sets) stays identical.
-        while let Some((key, kind)) = self.queue.pop_keyed() {
-            match kind {
-                EventKind::Fault(ev) => {
+        while let Some((key, kind)) = self.queue.pop() {
+            let node = match kind {
+                EventKind::Fault(_) | EventKind::Membership(_) => {
                     for s in &mut shards {
-                        s.queue.push_keyed(key, EventKind::Fault(ev));
+                        s.queue.push(key, kind);
                     }
+                    continue;
                 }
-                EventKind::Membership(ev) => {
-                    for s in &mut shards {
-                        s.queue.push_keyed(key, EventKind::Membership(ev));
-                    }
-                }
-                EventKind::Arrive { node, pkt } => {
-                    let class = self.arena.header(pkt).class;
-                    let owned = match self.arena.release(pkt) {
-                        Some(p) => p,
-                        None => {
-                            let p = self.arena.take(pkt);
-                            let copy = p.clone();
-                            self.arena.restore(pkt, p);
-                            copy
-                        }
-                    };
-                    let dst = &mut shards[plan.owner(node) as usize];
-                    let pref = dst.arena.insert(owned, class);
-                    dst.arena.add_ref(pref);
-                    dst.queue
-                        .push_keyed(key, EventKind::Arrive { node, pkt: pref });
-                }
-                other => {
-                    let node = match &other {
-                        EventKind::Start(node) => *node,
-                        EventKind::Timer { node, .. } => *node,
-                        _ => unreachable!("faults, membership, and arrivals handled above"),
-                    };
-                    shards[plan.owner(node) as usize]
-                        .queue
-                        .push_keyed(key, other);
-                }
-            }
+                EventKind::Start(node)
+                | EventKind::Arrive { node, .. }
+                | EventKind::Timer { node, .. } => node,
+            };
+            self.hand_over(&mut shards[plan.owner(node) as usize], key, kind);
         }
         debug_assert_eq!(self.arena.live(), 0, "master arena drained into shards");
+        debug_assert_eq!(self.pending_timer_count(), 0, "timers moved with events");
         shards
+    }
+
+    /// Moves one queued (non-replicated) event from this engine into
+    /// `dst`'s queue under the same key.  An arrival's packet is
+    /// re-interned in `dst`'s arena (moved out when this was its last
+    /// reference, cloned otherwise); a timer carries its liveness entry,
+    /// or its share of the cancelled count, along with it.
+    fn hand_over(&mut self, dst: &mut Engine<M>, key: EventKey, kind: EventKind) {
+        let kind = match kind {
+            EventKind::Arrive { node, pkt } => {
+                let class = self.arena.header(pkt).class;
+                let owned = match self.arena.release(pkt) {
+                    Some(p) => p,
+                    None => {
+                        let p = self.arena.take(pkt);
+                        let copy = p.clone();
+                        self.arena.restore(pkt, p);
+                        copy
+                    }
+                };
+                let pkt = dst.arena.insert(owned, class);
+                dst.arena.add_ref(pkt);
+                EventKind::Arrive { node, pkt }
+            }
+            EventKind::Timer { id, .. } => {
+                if self.live_timers.remove(&id) {
+                    dst.live_timers.insert(id);
+                } else {
+                    self.cancelled_timers -= 1;
+                    dst.cancelled_timers += 1;
+                }
+                kind
+            }
+            other => other,
+        };
+        dst.queue.push(key, kind);
     }
 
     /// Reassembles shard engines back into this master engine after a
@@ -583,46 +567,22 @@ impl<M: Classify + Clone + Send + 'static> Engine<M> {
                 }
             };
         }
-        for s in &mut shards {
-            self.pending_timers.extend(s.pending_timers.drain());
-            self.cancelled.extend(s.cancelled.drain());
-        }
         // Events still queued (horizon reached before drain) come back
         // under their keys; replicated faults and membership changes only
         // from shard 0.
         for (si, s) in shards.iter_mut().enumerate() {
-            while let Some((key, kind)) = s.queue.pop_keyed() {
+            while let Some((key, kind)) = s.queue.pop() {
                 match kind {
-                    EventKind::Fault(ev) => {
+                    EventKind::Fault(_) | EventKind::Membership(_) => {
                         if si == 0 {
-                            self.queue.push_keyed(key, EventKind::Fault(ev));
+                            self.queue.push(key, kind);
                         }
                     }
-                    EventKind::Membership(ev) => {
-                        if si == 0 {
-                            self.queue.push_keyed(key, EventKind::Membership(ev));
-                        }
-                    }
-                    EventKind::Arrive { node, pkt } => {
-                        let class = s.arena.header(pkt).class;
-                        let owned = match s.arena.release(pkt) {
-                            Some(p) => p,
-                            None => {
-                                let p = s.arena.take(pkt);
-                                let copy = p.clone();
-                                s.arena.restore(pkt, p);
-                                copy
-                            }
-                        };
-                        let pref = self.arena.insert(owned, class);
-                        self.arena.add_ref(pref);
-                        self.queue
-                            .push_keyed(key, EventKind::Arrive { node, pkt: pref });
-                    }
-                    other => self.queue.push_keyed(key, other),
+                    _ => s.hand_over(self, key, kind),
                 }
             }
             debug_assert_eq!(s.arena.live(), 0, "shard arena drained back");
+            debug_assert_eq!(s.pending_timer_count(), 0, "timers moved back");
         }
         match self.recorder.mode() {
             RecorderMode::Raw => {
@@ -722,7 +682,7 @@ mod tests {
         );
     }
 
-    use crate::agent::{Agent, Ctx};
+    use crate::agent::{Agent, Ctx, TimerId};
     use crate::channel::ChannelId;
     use crate::engine::EngineBuilder;
     use crate::faults::{FaultEvent, FaultPlan, LossModel};
@@ -804,6 +764,36 @@ mod tests {
         }
     }
 
+    /// Arms two timers and cancels each from a later timer, so that with
+    /// horizon stops at 70 and 100 ms one cancellation straddles each
+    /// split/absorb round trip: timer A is armed at start and cancelled
+    /// at 80 ms; timer B is armed at 80 ms and cancelled at 120 ms.
+    /// Neither may fire.
+    #[derive(Default)]
+    struct Canceller {
+        armed: Option<TimerId>,
+        fired: Vec<u64>,
+    }
+    const CANCEL: u64 = 0;
+    impl Agent<Msg> for Canceller {
+        fn on_start(&mut self, ctx: &mut Ctx<'_, Msg>) {
+            self.armed = Some(ctx.set_timer(ms(200), 1));
+            ctx.set_timer(ms(80), CANCEL);
+        }
+        fn on_timer(&mut self, ctx: &mut Ctx<'_, Msg>, token: u64) {
+            if token != CANCEL {
+                self.fired.push(token);
+                return;
+            }
+            ctx.cancel_timer(self.armed.take().expect("one timer armed"));
+            if ctx.now() == SimTime::from_millis(80) {
+                self.armed = Some(ctx.set_timer(ms(200), 2));
+                ctx.set_timer(ms(40), CANCEL);
+            }
+        }
+        fn on_packet(&mut self, _: &mut Ctx<'_, Msg>, _: &Packet<Msg>) {}
+    }
+
     /// Three-subtree tree with lossy, finite-bandwidth links.
     fn scenario_topology() -> (Topology, Vec<NodeId>) {
         let mut b = TopologyBuilder::new();
@@ -835,8 +825,9 @@ mod tests {
     }
 
     /// Runs the full faulted scenario split over `shards` shards on
-    /// `threads` threads, with a mid-run horizon stop to exercise the
-    /// split/absorb round trip twice.
+    /// `threads` threads, with two mid-run horizon stops to exercise the
+    /// split/absorb round trip three times, and checks the timer counters
+    /// at each stop.
     fn run_scenario(shards: usize, threads: usize) -> Observed {
         let (topo, nodes) = scenario_topology();
         let plan = Arc::new(ShardPlan::by_subtrees(&topo, nodes[0], shards));
@@ -877,13 +868,23 @@ mod tests {
                 }),
             );
         }
+        // Node 2 lands outside shard 0 whenever the run is sharded.
+        builder.add_agent(nodes[2], Box::new(Canceller::default()));
         let mut e = builder.build();
-        let mut processed = e.advance(
-            RunSpec::to(SimTime::from_millis(70))
-                .with_plan(Arc::clone(&plan))
-                .with_threads(threads),
+        let spec = |run: RunSpec| run.with_plan(Arc::clone(&plan)).with_threads(threads);
+        let mut processed = e.advance(spec(RunSpec::to(SimTime::from_millis(70))));
+        assert_eq!(e.cancelled_timer_count(), 0);
+        processed += e.advance(spec(RunSpec::to(SimTime::from_millis(100))));
+        assert_eq!(
+            e.cancelled_timer_count(),
+            1,
+            "timer A cancelled, still queued"
         );
-        processed += e.advance(RunSpec::drain().with_plan(plan).with_threads(threads));
+        processed += e.advance(spec(RunSpec::drain()));
+        assert_eq!(e.pending_timer_count(), 0);
+        assert_eq!(e.cancelled_timer_count(), 0);
+        let canceller = e.agent::<Canceller>(nodes[2]).unwrap();
+        assert!(canceller.fired.is_empty(), "cancelled timers fired");
         Observed {
             processed,
             now: e.now(),
@@ -904,7 +905,7 @@ mod tests {
         assert!(!serial.deliveries.is_empty());
         assert!(!serial.drops.is_empty(), "scenario must exercise loss");
         assert!(!serial.probes.is_empty(), "scenario must exercise probes");
-        for (shards, threads) in [(2, 1), (2, 2), (3, 1), (3, 2), (3, 3)] {
+        for (shards, threads) in [(2, 1), (2, 2), (3, 1), (3, 2), (3, 3), (4, 2)] {
             let sharded = run_scenario(shards, threads);
             assert_eq!(
                 serial, sharded,
@@ -1001,28 +1002,6 @@ mod tests {
         let processed = e.advance(RunSpec::to(SimTime::from_secs(5)).with_plan(plan));
         assert_eq!(processed, 0);
         assert_eq!(e.now(), SimTime::from_secs(5));
-    }
-
-    #[test]
-    fn builder_default_plan_is_used_when_runspec_leaves_it_unset() {
-        let (topo, nodes) = scenario_topology();
-        let plan = Arc::new(ShardPlan::by_subtrees(&topo, nodes[0], 2));
-        let mut builder: EngineBuilder<Msg> = EngineBuilder::new(topo, 42);
-        let chan = builder.add_channel(&nodes);
-        builder.add_agent(
-            nodes[0],
-            Box::new(Source {
-                chan,
-                next: 0,
-                count: 3,
-                repaired: Default::default(),
-            }),
-        );
-        builder.add_agent(nodes[4], Box::new(Receiver::default()));
-        builder.shard_plan(plan).threads(2);
-        let mut e = builder.build();
-        e.advance(RunSpec::drain());
-        assert!(!e.agent::<Receiver>(nodes[4]).unwrap().heard.is_empty());
     }
 
     #[test]

@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use sharqfec_netsim::prelude::*;
-use sharqfec_netsim::queue::EventQueue;
+use sharqfec_netsim::queue::{EventKey, EventQueue};
 use sharqfec_netsim::routing::{DistanceOracle, Spt};
 
 /// A random connected topology: a random tree plus a few extra edges.
@@ -400,10 +400,11 @@ proptest! {
         prop_assert_eq!(serial.into_values(), parallel.into_values());
     }
 
-    /// The slab-backed [`EventQueue`] must pop in exactly the order the
-    /// engine's old `BinaryHeap<QItem>` did: ascending time, FIFO within
-    /// a timestamp (insertion-sequence tie-break).  The model is that
-    /// very `BinaryHeap` over reverse-ordered `(time, seq)` pairs, and
+    /// The slab-backed [`EventQueue`] must pop in exactly the order a
+    /// `BinaryHeap` does: ascending time, FIFO within a timestamp.  Each
+    /// push carries the key `(time, 0, 0, n)` for the `n`-th push, so the
+    /// sequence alone breaks ties.  The model is a `BinaryHeap` over
+    /// reverse-ordered `(time, seq)` pairs, and
     /// the op stream interleaves pushes, pops, and timer-style
     /// cancellations (an overlay set consulted at pop time, exactly as
     /// the engine skips cancelled timers).
@@ -426,6 +427,12 @@ proptest! {
         use std::cmp::Reverse;
         use std::collections::{BinaryHeap, HashSet};
 
+        let key = |time, n| EventKey {
+            time,
+            push_time: SimTime::ZERO,
+            origin: 0,
+            oseq: n,
+        };
         let mut model: BinaryHeap<Reverse<(SimTime, u64)>> = BinaryHeap::new();
         let mut queue: EventQueue<u64> = EventQueue::new();
         let mut next_seq = 0u64;
@@ -437,8 +444,8 @@ proptest! {
             match op {
                 QueueOp::Push(ms) => {
                     let time = SimTime::from_millis(ms);
-                    let seq = queue.push(time, next_seq);
-                    prop_assert_eq!(seq, next_seq, "queue must assign dense push sequences");
+                    let seq = next_seq;
+                    queue.push(key(time, seq), seq);
                     model.push(Reverse((time, seq)));
                     pending.push(seq);
                     next_seq += 1;
@@ -453,7 +460,7 @@ proptest! {
                 }
                 QueueOp::Pop => loop {
                     let expect = model.pop().map(|Reverse(pair)| pair);
-                    let got = queue.pop();
+                    let got = queue.pop().map(|(k, seq)| (k.time, seq));
                     prop_assert_eq!(got, expect);
                     let Some((time, seq)) = got else { break };
                     pending.retain(|&s| s != seq);
@@ -466,7 +473,7 @@ proptest! {
         }
         // Drain both and check the full surviving pop order once more.
         while let Some(Reverse(pair)) = model.pop() {
-            prop_assert_eq!(queue.pop(), Some(pair));
+            prop_assert_eq!(queue.pop(), Some((key(pair.0, pair.1), pair.1)));
             if !cancelled.contains(&pair.1) {
                 popped.push(pair);
             }

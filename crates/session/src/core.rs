@@ -280,43 +280,38 @@ impl SessionCore {
     /// `aggregate_report(root)` approximates the whole session's RR state
     /// from O(zones) announcements.
     pub fn aggregate_report(&self, zone: ZoneId) -> Option<LossReport> {
-        let mut acc = if self.hier.is_member(zone, self.node) {
+        let own = if self.hier.is_member(zone, self.node) {
             self.local_loss.map(LossReport::single)
         } else {
             None
         };
-        if let Some(heard) = self.zone_reports.get(&zone) {
-            for r in heard.values() {
-                match &mut acc {
-                    None => acc = Some(*r),
-                    Some(a) => a.merge(r),
-                }
-            }
-        }
-        acc
+        self.summarize_heard(own, zone)
     }
 
     /// The report this member announces into `zone`: its own quality,
     /// merged — when it represents the child zone below `zone` — with the
     /// reports heard there, so summaries roll up the hierarchy.
     fn outgoing_report(&self, zone: ZoneId) -> Option<LossReport> {
-        let mut acc = self.local_loss.map(LossReport::single);
+        let own = self.local_loss.map(LossReport::single);
         // If announcing into a parent zone as ZCR of the child below it,
         // fold in the child zone's heard reports.
-        if let Some(l) = self.chain_index(zone) {
-            if l >= 1 && self.levels[l - 1].zcr == Some(self.node) {
-                let child = self.chain[l - 1];
-                if let Some(heard) = self.zone_reports.get(&child) {
-                    for r in heard.values() {
-                        match &mut acc {
-                            None => acc = Some(*r),
-                            Some(a) => a.merge(r),
-                        }
-                    }
-                }
+        match self.chain_index(zone) {
+            Some(l) if l >= 1 && self.levels[l - 1].zcr == Some(self.node) => {
+                self.summarize_heard(own, self.chain[l - 1])
             }
+            _ => own,
         }
-        acc
+    }
+
+    /// `own` merged with every report heard in `zone`, folded in reporter
+    /// id order.  The weighted-mean merge is not associative in floating
+    /// point, so folding in the map's iteration order would make the
+    /// summary's `mean_loss` vary from one map to the next.
+    fn summarize_heard(&self, own: Option<LossReport>, zone: ZoneId) -> Option<LossReport> {
+        let mut heard: Vec<(&NodeId, &LossReport)> =
+            self.zone_reports.get(&zone).into_iter().flatten().collect();
+        heard.sort_unstable_by_key(|&(reporter, _)| *reporter);
+        LossReport::summarize(own.iter().chain(heard.into_iter().map(|(_, r)| r)))
     }
 
     /// The node this core belongs to.
@@ -1155,6 +1150,51 @@ mod tests {
     fn designed() -> ZcrSeeding {
         // zone 0 -> node 0, zone 1 -> node 1, zone 2 -> node 3.
         ZcrSeeding::Designed(vec![n(0), n(1), n(3)])
+    }
+
+    #[test]
+    fn zone_summaries_are_bit_identical_across_cores_and_arrival_orders() {
+        // Node 1 (ZCR of Z1) hears five reports in Z1 and has its own:
+        // both its Z1 aggregate and the summary it announces into Z0 fold
+        // six reports.  Every fresh core, fed forward or reversed, must
+        // produce one bit pattern.
+        let reports: Vec<(NodeId, LossReport)> = (2..7)
+            .map(|i| {
+                let r = LossReport {
+                    receivers: i,
+                    worst_loss: 0.9,
+                    mean_loss: 0.1 * f64::from(i) + 0.013,
+                };
+                (n(i), r)
+            })
+            .collect();
+        let mut bits = std::collections::HashSet::new();
+        for round in 0..50 {
+            let mut core = SessionCore::new(n(1), hier(), SessionConfig::default(), &designed());
+            let mut ctx = FakeCtx::new();
+            core.set_local_loss(0.05);
+            let (zone, parent) = (core.chain_zones()[0], core.chain_zones()[1]);
+            let mut feed = reports.clone();
+            if round % 2 == 1 {
+                feed.reverse();
+            }
+            for (src, r) in feed {
+                let announce = Announce {
+                    zone,
+                    sent_at: SimTime::ZERO,
+                    zcr: Some(n(1)),
+                    zcr_to_parent: None,
+                    report: Some(r),
+                    entries: vec![],
+                };
+                core.on_msg(&mut ctx, src, &SessionMsg::Announce(announce));
+            }
+            let aggregate = core.aggregate_report(zone).unwrap();
+            let outgoing = core.outgoing_report(parent).unwrap();
+            assert_eq!(aggregate.receivers, 21);
+            bits.insert((aggregate.mean_loss.to_bits(), outgoing.mean_loss.to_bits()));
+        }
+        assert_eq!(bits.len(), 1, "mean_loss bit patterns: {bits:?}");
     }
 
     #[test]
